@@ -74,11 +74,9 @@ func (db *DB) KMostSimilarBatch(ctx context.Context, queries []BatchQuery, opts 
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
-	bp := db.queryPager()
-	if db.warm == nil {
-		// queryPager built a plain per-query pool; a batch wants one warm
-		// shared pool across its workers instead.
-		bp = storage.NewSharedPaperPool(db.wrappedFile())
+	bp := db.warm
+	if bp == nil {
+		bp = storage.NewPaperPool(db.wrappedFile(), 0)
 	}
 
 	workers := opts.Parallelism

@@ -22,8 +22,8 @@ func batchFixture(t *testing.T, kind IndexKind, seed int64) (*DB, []Trajectory) 
 }
 
 // TestBatchMatchesSerialLoop: a batch call must return, slot for slot,
-// exactly what a serial loop of KMostSimilarOpts returns — across kinds
-// and worker counts.
+// exactly what a serial loop of DB.Query returns — across kinds and
+// worker counts.
 func TestBatchMatchesSerialLoop(t *testing.T) {
 	for _, kind := range IndexKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -42,11 +42,11 @@ func TestBatchMatchesSerialLoop(t *testing.T) {
 			opts := Options{ExactRefine: true, Refine: 1}
 			serial := make([][]Result, len(queries))
 			for i, bq := range queries {
-				res, _, err := db.KMostSimilarOpts(bq.Q, bq.T1, bq.T2, bq.K, opts)
+				resp, err := db.Query(context.Background(), Request{Q: bq.Q, Interval: Interval{T1: bq.T1, T2: bq.T2}, K: bq.K, Options: opts})
 				if err != nil {
 					t.Fatalf("serial %d: %v", i, err)
 				}
-				serial[i] = res
+				serial[i] = resp.Results
 			}
 			for _, par := range []int{1, 4} {
 				o := opts

@@ -174,11 +174,11 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				_, st, err := db.KMostSimilarOpts(&q, q.StartTime(), q.EndTime(), 1, c.opt)
+				resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1, Options: c.opt})
 				if err != nil {
 					b.Fatal(err)
 				}
-				nodes = st.NodesAccessed
+				nodes = resp.Stats.NodesAccessed
 			}
 			b.ReportMetric(float64(nodes), "nodesAccessed")
 		})
@@ -193,8 +193,7 @@ func BenchmarkAblationRefine(b *testing.B) {
 	for _, refine := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("refine=%d", refine), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := db.KMostSimilarOpts(&q, q.StartTime(), q.EndTime(), 1,
-					Options{ExactRefine: true, Refine: refine})
+				_, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1, Options: Options{ExactRefine: true, Refine: refine}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -251,7 +250,7 @@ func BenchmarkLinearScanVsIndexed(b *testing.B) {
 	q.ID = 0
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := db.KMostSimilar(&q, q.StartTime(), q.EndTime(), 1); err != nil {
+			if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1, Options: DefaultOptions()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -372,7 +371,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := db.KMostSimilar(&q, q.StartTime(), q.EndTime(), 1); err != nil {
+			if _, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: q.StartTime(), T2: q.EndTime()}, K: 1, Options: DefaultOptions()}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -65,6 +65,12 @@ func TestExpandPatterns(t *testing.T) {
 			t.Errorf("pattern ./... did not yield %s (got %d paths)", p, len(paths))
 		}
 	}
+	// perfbench is a module of its own: ./... stops at its go.mod.
+	for _, p := range paths {
+		if strings.HasPrefix(p, "mstsearch/perfbench") {
+			t.Errorf("pattern ./... entered the nested module: %s", p)
+		}
+	}
 }
 
 // TestSuppressions checks directive parsing and coverage rules directly.

@@ -44,25 +44,6 @@ func goodMethod(ctx context.Context, db *DB) error {
 	return db.QueryContext(ctx)
 }
 
-// Run is the canonical context-first entry point the deprecated wrappers
-// below forward to.
-func (db *DB) Run(ctx context.Context) error { return ctx.Err() }
-
-// OldQueryContext retains the legacy name for old call sites.
-//
-// Deprecated: use DB.Run. The wrapper's call to the non-Context canonical
-// method must not trip the sibling check.
-func (db *DB) OldQueryContext(ctx context.Context) error {
-	return db.Query() // exempt: declaration is marked Deprecated
-}
-
-// Detached keeps the legacy detach-from-caller semantics.
-//
-// Deprecated: use DB.Run with the caller's context.
-func Detached(ctx context.Context) error {
-	return SearchContext(context.Background()) // exempt: declaration is marked Deprecated
-}
-
 func suppressed(ctx context.Context) error {
 	//lint:ignore ctxflow detached audit write must survive request cancellation
 	return SearchContext(context.Background())

@@ -221,7 +221,8 @@ func (l *Loader) loadDir(dir, importPath string, includeTests bool) (*Package, e
 // import paths) into the module's import paths, mirroring the go tool's
 // pattern syntax closely enough for a lint driver. testdata, hidden and
 // underscore-prefixed directories are skipped, as are directories with no
-// non-test Go files.
+// non-test Go files and, like the go tool, nested modules (directories
+// holding their own go.mod).
 func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	var out []string
 	seen := map[string]bool{}
@@ -278,6 +279,9 @@ func (l *Loader) walkTree(root string) ([]string, error) {
 		name := d.Name()
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != l.ModuleDir {
+			return filepath.SkipDir // a nested module is not part of this one
 		}
 		if _, err := build.ImportDir(path, 0); err != nil {
 			return nil // no buildable Go files here; keep walking

@@ -1,7 +1,6 @@
 package mst
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -220,29 +219,21 @@ func (b *metricBounder) anyWithinEps(mbb geom.MBB) bool {
 	return false
 }
 
-// metricSearcher carries one metric kNN query's mutable state.
+// metricSearcher is the metric engine: one metric kNN query's state over
+// an index.MetricTree.
 type metricSearcher struct {
-	ctx     context.Context
+	bestFirst[*index.MetricNode]
 	tree    index.MetricTree
 	q       *trajectory.Trajectory
 	t1, t2  float64
 	m       Metric
 	eps     float64
-	opts    Options
 	bounder *metricBounder
-	stats   Stats
 
-	queue    nodeQueue
-	exclude  map[trajectory.ID]bool
-	hits     []metricHit               // every exactly evaluated candidate
-	dists    []float64                 // their distances, kept sorted for τ
-	pivotDW  map[trajectory.ID]float64 // cached d_W(q, pivot); NaN = pivot does not cover the window
-	heapPops int
-
-	// unseenBound floors everything the search never evaluated: the queue
-	// head at early termination / budget exhaustion, and the smallest
-	// lower bound among pruned subtrees and entries.
-	unseenBound float64
+	exclude map[trajectory.ID]bool
+	hits    []metricHit               // every exactly evaluated candidate
+	dists   []float64                 // their distances, kept sorted for τ
+	pivotDW map[trajectory.ID]float64 // cached d_W(q, pivot); NaN = pivot does not cover the window
 }
 
 type metricHit struct {
@@ -281,25 +272,15 @@ func MetricSearchContext(ctx context.Context, tree index.MetricTree, q *trajecto
 		return nil, Stats{}, err
 	}
 	s := &metricSearcher{
-		ctx: ctx, tree: tree, q: q, t1: t1, t2: t2, m: m, eps: eps,
-		opts: opts, bounder: bounder,
-		exclude:     make(map[trajectory.ID]bool, len(opts.ExcludeIDs)),
-		pivotDW:     make(map[trajectory.ID]float64),
-		unseenBound: math.Inf(1),
+		tree: tree, q: q, t1: t1, t2: t2, m: m, eps: eps, bounder: bounder,
+		exclude: make(map[trajectory.ID]bool, len(opts.ExcludeIDs)),
+		pivotDW: make(map[trajectory.ID]float64),
 	}
+	s.bestFirst = bestFirst[*index.MetricNode]{ctx: ctx, opts: opts, eng: s, unseen: math.Inf(1)}
 	for _, id := range opts.ExcludeIDs {
 		s.exclude[id] = true
 	}
-	s.stats.TotalNodes = tree.NumNodes()
-	defer func() { flushMetricSearch(&s.stats, s.heapPops) }()
-	if err := s.run(); err != nil {
-		return nil, s.stats, err
-	}
-	res := s.finalize()
-	if s.stats.TotalNodes > 0 {
-		s.stats.PruningPower = 1 - float64(s.stats.NodesAccessed)/float64(s.stats.TotalNodes)
-	}
-	return res, s.stats, nil
+	return s.search(tree)
 }
 
 // tau is the current k-th smallest exact distance (+Inf with fewer than k
@@ -313,93 +294,34 @@ func (s *metricSearcher) tau() float64 {
 	return s.dists[s.opts.K-1]
 }
 
-func (s *metricSearcher) run() error {
-	if err := index.Canceled(s.ctx); err != nil {
-		return err
-	}
-	root := s.tree.Root()
-	if root == storage.NilPage {
-		return nil
-	}
-	rootNode, err := s.tree.ReadMetricNode(root)
+func (s *metricSearcher) read(page storage.PageID) (*index.MetricNode, bool, error) {
+	n, err := s.tree.ReadMetricNode(page)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	rootBound := s.bounder.bound(rootNode.MBB(), 0)
-	if math.IsInf(rootBound, 1) {
-		return nil
-	}
-	heap.Push(&s.queue, queueItem{page: root, dist: rootBound, level: 0})
-	s.stats.Enqueued++
-	s.emitMetric(TraceEvent{Kind: EventNodeEnqueue, Page: root, Level: 0, MBB: rootNode.MBB(), MinDist: rootBound})
+	return n, n.Leaf, nil
+}
 
-	for s.queue.Len() > 0 {
-		if err := index.Canceled(s.ctx); err != nil {
-			return err
-		}
-		if budget := s.budgetExhausted(); budget != "" {
-			s.stats.Degraded = true
-			s.noteUnseen(s.queue[0].dist)
-			s.emitMetric(TraceEvent{Kind: EventBudgetExhausted, Budget: budget, MinDist: s.queue[0].dist})
-			return nil
-		}
-		it := heap.Pop(&s.queue).(queueItem)
-		s.heapPops++
-		// Early termination: bounds leave the heap in non-decreasing
-		// order (children are clamped to their parent), so once the head
-		// cannot beat τ nothing remaining can.
-		if !s.opts.DisableHeuristic2 && len(s.dists) >= s.opts.K && it.dist > s.tau() {
-			s.stats.TerminatedEarly = true
-			s.noteUnseen(it.dist)
-			s.emitMetric(TraceEvent{
-				Kind: EventEarlyTerminate, Page: it.page, Level: it.level,
-				MinDist: it.dist, Lo: it.dist, Heuristic: 2, Threshold: s.tau(),
-			})
-			return nil
-		}
-		n, err := s.tree.ReadMetricNode(it.page)
-		if err != nil {
-			return err
-		}
-		s.stats.NodesAccessed++
-		if s.opts.Trace != nil {
-			s.opts.Trace(TraceEvent{
-				Kind: EventNodeVisit, Page: it.page, Level: it.level, Leaf: n.Leaf,
-				MBB: n.MBB(), MinDist: it.dist,
-			})
-		}
-		if n.Leaf {
-			s.stats.LeavesAccessed++
-			if err := s.processLeaf(n, it.dist); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			lb := s.childBound(c)
-			if math.IsInf(lb, 1) {
-				continue // provably no covering member below
-			}
-			if lb < it.dist {
-				lb = it.dist // the parent's bound covers the subtree too
-			}
-			if !s.opts.DisableHeuristic2 && len(s.dists) >= s.opts.K && lb > s.tau() {
-				s.noteUnseen(lb)
-				s.emitMetric(TraceEvent{
-					Kind: EventCandidatePrune, Page: c.Page, Level: it.level + 1,
-					Lo: lb, Heuristic: 2, Threshold: s.tau(),
-				})
-				continue
-			}
-			heap.Push(&s.queue, queueItem{page: c.Page, dist: lb, level: it.level + 1})
-			s.stats.Enqueued++
-			s.emitMetric(TraceEvent{
-				Kind: EventNodeEnqueue, Page: c.Page, Level: it.level + 1,
-				MBB: c.MBB, MinDist: lb,
-			})
+func (s *metricSearcher) rootBound(mbb geom.MBB) (float64, bool) {
+	lb := s.bounder.bound(mbb, 0)
+	return lb, !math.IsInf(lb, 1)
+}
+
+// stop fires once k candidates are evaluated and the bound cannot beat τ.
+// Bounds leave the heap in non-decreasing order, so once the head fails
+// nothing remaining can pass; applied at enqueue time it prunes a single
+// subtree.
+func (s *metricSearcher) stop(dist float64) (lo, threshold float64, ok bool) {
+	return dist, s.tau(), !s.opts.DisableHeuristic2 && len(s.dists) >= s.opts.K && dist > s.tau()
+}
+
+func (s *metricSearcher) expand(n *index.MetricNode, parent queueItem) {
+	for _, c := range n.Children {
+		// +Inf: provably no covering member below.
+		if lb := s.childBound(c); !math.IsInf(lb, 1) {
+			s.enqueue(parent, c.Page, c.MBB, lb, true)
 		}
 	}
-	return nil
 }
 
 // childBound lower-bounds metric m for every covering trajectory in the
@@ -442,9 +364,9 @@ func (s *metricSearcher) pivotWindowDist(id trajectory.ID) (float64, bool) {
 	return d, true
 }
 
-// processLeaf admits and exactly evaluates the leaf's covering members,
-// pruning entries whose lower bound proves they cannot reach the top-k.
-func (s *metricSearcher) processLeaf(n *index.MetricNode, nodeBound float64) error {
+// leaf admits and exactly evaluates the leaf's covering members, pruning
+// entries whose lower bound proves they cannot reach the top-k.
+func (s *metricSearcher) leaf(n *index.MetricNode, nodeBound float64) error {
 	for _, e := range n.Leaves {
 		if s.exclude[e.TrajID] {
 			continue
@@ -459,7 +381,7 @@ func (s *metricSearcher) processLeaf(n *index.MetricNode, nodeBound float64) err
 		if !s.opts.DisableHeuristic1 && len(s.dists) >= s.opts.K && lb > s.tau() {
 			s.stats.Rejected++
 			s.noteUnseen(lb)
-			s.emitMetric(TraceEvent{
+			s.emit(TraceEvent{
 				Kind: EventCandidatePrune, TrajID: e.TrajID, Lo: lb,
 				Heuristic: 1, Threshold: s.tau(),
 			})
@@ -471,19 +393,20 @@ func (s *metricSearcher) processLeaf(n *index.MetricNode, nodeBound float64) err
 			// index/store inconsistency — the same class as a torn page.
 			return fmt.Errorf("%w: metric index references unknown trajectory %d", index.ErrCorruptNode, e.TrajID)
 		}
-		s.emitMetric(TraceEvent{Kind: EventCandidateAdmit, TrajID: e.TrajID, Lo: lb, Hi: math.Inf(1)})
+		s.emit(TraceEvent{Kind: EventCandidateAdmit, TrajID: e.TrajID, Lo: lb, Hi: math.Inf(1)})
 		d, ok := EvalMetric(s.m, s.eps, s.q, tr, s.t1, s.t2)
 		if !ok {
 			continue
 		}
 		s.stats.Completed++
 		s.stats.ExactRefined++
+		s.emit(TraceEvent{Kind: EventRefined, TrajID: e.TrajID, Lo: d, Hi: d, Exact: d})
 		s.hits = append(s.hits, metricHit{id: e.TrajID, d: d})
 		i := sort.SearchFloat64s(s.dists, d)
 		s.dists = append(s.dists, 0)
 		copy(s.dists[i+1:], s.dists[i:])
 		s.dists[i] = d
-		s.emitMetric(TraceEvent{Kind: EventCandidateComplete, TrajID: e.TrajID, Lo: d, Hi: d, Exact: d})
+		s.emit(TraceEvent{Kind: EventCandidateComplete, TrajID: e.TrajID, Lo: d, Hi: d, Exact: d})
 	}
 	return nil
 }
@@ -506,28 +429,6 @@ func (s *metricSearcher) entryBound(pivotID trajectory.ID, e index.MetricLeafEnt
 	return lb
 }
 
-func (s *metricSearcher) budgetExhausted() string {
-	if s.opts.MaxNodeAccesses > 0 && s.stats.NodesAccessed >= s.opts.MaxNodeAccesses {
-		return "nodes"
-	}
-	if s.opts.MaxIOReads > 0 && s.opts.IOReads != nil && s.opts.IOReads() >= s.opts.MaxIOReads {
-		return "io"
-	}
-	return ""
-}
-
-func (s *metricSearcher) noteUnseen(lb float64) {
-	if lb < s.unseenBound {
-		s.unseenBound = lb
-	}
-}
-
-func (s *metricSearcher) emitMetric(ev TraceEvent) {
-	if s.opts.Trace != nil {
-		s.opts.Trace(ev)
-	}
-}
-
 // finalize ranks the exactly evaluated candidates by (distance, TrajID),
 // truncates to k, and certifies: a completed search proves every result;
 // a degraded one certifies a result only when nothing unseen (queued,
@@ -539,7 +440,7 @@ func (s *metricSearcher) finalize() []Result {
 		}
 		return s.hits[i].id < s.hits[j].id
 	})
-	floor := s.unseenBound
+	floor := s.unseen
 	hits := s.hits
 	if len(hits) > s.opts.K {
 		for _, h := range hits[s.opts.K:] {
@@ -558,25 +459,6 @@ func (s *metricSearcher) finalize() []Result {
 		}
 	}
 	return out
-}
-
-// flushMetricSearch publishes a metric search's counters into the same
-// process-wide registry the MBB search feeds.
-func flushMetricSearch(st *Stats, heapPops int) {
-	metSearches.Inc()
-	metNodesVisited.Add(uint64(st.NodesAccessed))
-	metLeavesRead.Add(uint64(st.LeavesAccessed))
-	metHeapPushes.Add(uint64(st.Enqueued))
-	metHeapPops.Add(uint64(heapPops))
-	metPruneH1.Add(uint64(st.Rejected))
-	if st.TerminatedEarly {
-		metPruneH2.Inc()
-	}
-	metExactEvals.Add(uint64(st.ExactRefined))
-	if st.Degraded {
-		metDegraded.Inc()
-	}
-	metNodesPerQ.Observe(float64(st.NodesAccessed))
 }
 
 // MetricLowerBound returns a certified lower bound on metric m between

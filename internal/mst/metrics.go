@@ -23,22 +23,23 @@ var (
 )
 
 // flushMetrics publishes one finished (or failed) search's counters into
-// the process-wide registry. heapPops counts pop operations, which can
-// exceed NodesAccessed by the final Heuristic 2 pop.
-func (s *searcher) flushMetrics(heapPops int) {
+// the process-wide registry. pops counts pop operations, which can exceed
+// NodesAccessed by the final Heuristic 2 pop.
+func (b *bestFirst[N]) flushMetrics() {
+	st := &b.stats
 	metSearches.Inc()
-	metNodesVisited.Add(uint64(s.stats.NodesAccessed))
-	metLeavesRead.Add(uint64(s.stats.LeavesAccessed))
-	metHeapPushes.Add(uint64(s.stats.Enqueued))
-	metHeapPops.Add(uint64(heapPops))
-	metPruneH1.Add(uint64(s.stats.Rejected))
-	if s.stats.TerminatedEarly {
+	metNodesVisited.Add(uint64(st.NodesAccessed))
+	metLeavesRead.Add(uint64(st.LeavesAccessed))
+	metHeapPushes.Add(uint64(st.Enqueued))
+	metHeapPops.Add(uint64(b.pops))
+	metPruneH1.Add(uint64(st.Rejected))
+	if st.TerminatedEarly {
 		metPruneH2.Inc()
 	}
-	metTrapEvals.Add(uint64(s.stats.TrapezoidEvals))
-	metExactEvals.Add(uint64(s.stats.ExactRefined))
-	if s.stats.Degraded {
+	metTrapEvals.Add(uint64(st.TrapezoidEvals))
+	metExactEvals.Add(uint64(st.ExactRefined))
+	if st.Degraded {
 		metDegraded.Inc()
 	}
-	metNodesPerQ.Observe(float64(s.stats.NodesAccessed))
+	metNodesPerQ.Observe(float64(st.NodesAccessed))
 }

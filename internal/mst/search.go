@@ -157,8 +157,9 @@ var ErrCanceled = index.ErrCanceled
 // wrapping it also wrap ErrCanceled and context.DeadlineExceeded.
 var ErrDeadlineExceeded = index.ErrDeadlineExceeded
 
-// queueItem is a tree node awaiting processing, keyed by MINDIST. level is
-// the node's depth below the root (root = 0), carried for tracing.
+// queueItem is a tree node awaiting processing, keyed by its lower bound
+// (MINDIST for the MBB engine). level is the node's depth below the root
+// (root = 0), carried for tracing.
 type queueItem struct {
 	page  storage.PageID
 	dist  float64
@@ -179,6 +180,204 @@ func (q *nodeQueue) Pop() any {
 	return it
 }
 
+// engine is what one index kind contributes to the shared best-first
+// traversal: node reads, node bounds, the stop test, the leaf step and
+// the final ranking. The MBB engine (searcher) bounds nodes by MINDIST
+// and stops on MINDISSIMINC; the metric engine (metricSearcher) bounds
+// them by metric lower bounds and stops on the k-th exact distance.
+type engine[N any] interface {
+	// read loads the node at page and reports whether it is a leaf.
+	read(page storage.PageID) (n N, leaf bool, err error)
+	// rootBound lower-bounds the query's distance to every trajectory
+	// under the root; ok is false when none of them can answer it.
+	rootBound(mbb geom.MBB) (bound float64, ok bool)
+	// stop is the early-termination test (Heuristic 2) for a node at
+	// lower bound dist: when ok, that node and every node after it can
+	// be discarded. lo and threshold are reported in the trace.
+	stop(dist float64) (lo, threshold float64, ok bool)
+	// leaf processes a leaf popped at lower bound dist.
+	leaf(n N, dist float64) error
+	// expand bounds an inner node's children and hands each one that
+	// may hold an answer to bestFirst.enqueue.
+	expand(n N, parent queueItem)
+	// finalize ranks the evaluated candidates into the results and sets
+	// Stats.CertFloor.
+	finalize() []Result
+}
+
+// bestFirst is the best-first traversal of Fig. 7 that both engines run:
+// it owns the node queue, the cancellation and budget checks, the visit
+// counters, the node-level trace events, the floor under everything left
+// unexplored, and the metrics flush. Engines embed it and plug their
+// bounds, stop test and leaf step in through eng.
+type bestFirst[N interface{ MBB() geom.MBB }] struct {
+	ctx   context.Context
+	opts  Options
+	stats Stats
+	eng   engine[N]
+
+	queue nodeQueue
+	pops  int // pop operations (>= NodesAccessed; metrics only)
+
+	// unseen lower-bounds every trajectory the search never evaluated:
+	// the bound of the next unprocessed node when a budget runs out or
+	// the stop test fires, and of every subtree or entry the engine
+	// pruned; +Inf when the queue drained naturally. It is the unexplored
+	// half of Stats.CertFloor and the certification floor of degraded
+	// results.
+	unseen float64
+
+	// lastPop tracks the best-first monotonicity invariant under the
+	// debugassert build tag: bounds must leave the heap in non-decreasing
+	// order (they are >= 0, so the zero value is a valid floor).
+	lastPop float64
+}
+
+// search runs the traversal over tree and ranks its answers.
+func (b *bestFirst[N]) search(tree index.Index) ([]Result, Stats, error) {
+	b.stats.TotalNodes = tree.NumNodes()
+	defer b.flushMetrics()
+	if err := b.run(tree.Root()); err != nil {
+		return nil, b.stats, err
+	}
+	res := b.eng.finalize()
+	if b.stats.TotalNodes > 0 {
+		b.stats.PruningPower = 1 - float64(b.stats.NodesAccessed)/float64(b.stats.TotalNodes)
+	}
+	return res, b.stats, nil
+}
+
+func (b *bestFirst[N]) run(root storage.PageID) error {
+	// A context dead on arrival aborts before the first page is touched.
+	if err := index.Canceled(b.ctx); err != nil {
+		return err
+	}
+	if root == storage.NilPage {
+		return nil
+	}
+	// Read the root node directly rather than through RootMBB, which
+	// swallows read errors into an empty bound — a corrupt or faulted root
+	// page must surface as a typed error, never as an empty result set.
+	rootNode, _, err := b.eng.read(root)
+	if err != nil {
+		return err
+	}
+	rootMBB := rootNode.MBB()
+	d, ok := b.eng.rootBound(rootMBB)
+	if !ok {
+		return nil
+	}
+	b.push(queueItem{page: root, dist: d, level: 0}, rootMBB)
+
+	for b.queue.Len() > 0 {
+		// Cancellation and budget checks sit between node pops: the search
+		// never starts a node read it is not entitled to, so NodesAccessed
+		// can never exceed MaxNodeAccesses.
+		if err := index.Canceled(b.ctx); err != nil {
+			return err
+		}
+		if budget := b.budgetExhausted(); budget != "" {
+			head := b.queue[0].dist
+			b.stats.Degraded = true
+			b.noteUnseen(head)
+			b.emit(TraceEvent{Kind: EventBudgetExhausted, Budget: budget, MinDist: head})
+			return nil
+		}
+
+		it := heap.Pop(&b.queue).(queueItem)
+		b.pops++
+		if debugassert.Enabled {
+			debugassert.Assertf(it.dist >= b.lastPop,
+				"best-first order violated: popped bound %v after %v (page %d)",
+				it.dist, b.lastPop, it.page)
+			b.lastPop = it.dist
+		}
+
+		// Heuristic 2: because nodes pop in lower-bound order, a positive
+		// stop test terminates the whole search (paper lines 5-7).
+		if lo, threshold, stop := b.eng.stop(it.dist); stop {
+			b.stats.TerminatedEarly = true
+			b.noteUnseen(it.dist)
+			b.emit(TraceEvent{
+				Kind: EventEarlyTerminate, Page: it.page, Level: it.level,
+				MinDist: it.dist, Lo: lo, Heuristic: 2, Threshold: threshold,
+			})
+			return nil
+		}
+
+		n, leaf, err := b.eng.read(it.page)
+		if err != nil {
+			return err
+		}
+		b.stats.NodesAccessed++
+		if b.opts.Trace != nil { // guard: n.MBB() walks the node's entries
+			b.opts.Trace(TraceEvent{
+				Kind: EventNodeVisit, Page: it.page, Level: it.level, Leaf: leaf,
+				MBB: n.MBB(), MinDist: it.dist,
+			})
+		}
+		if !leaf {
+			b.eng.expand(n, it)
+			continue
+		}
+		b.stats.LeavesAccessed++
+		if err := b.eng.leaf(n, it.dist); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// enqueue queues a child of parent at lower bound d, clamped to the
+// parent's bound: the parent's bound covers the subtree too, and the
+// clamp keeps bounds leaving the heap in non-decreasing order under
+// round-off. With prune set, the stop test runs on the child first, and a
+// child it rejects joins the unseen floor instead of the queue.
+func (b *bestFirst[N]) enqueue(parent queueItem, page storage.PageID, mbb geom.MBB, d float64, prune bool) {
+	if d < parent.dist {
+		d = parent.dist
+	}
+	level := parent.level + 1
+	if prune {
+		if lo, threshold, stop := b.eng.stop(d); stop {
+			b.noteUnseen(d)
+			b.emit(TraceEvent{
+				Kind: EventCandidatePrune, Page: page, Level: level,
+				Lo: lo, Heuristic: 2, Threshold: threshold,
+			})
+			return
+		}
+	}
+	b.push(queueItem{page: page, dist: d, level: level}, mbb)
+}
+
+func (b *bestFirst[N]) push(it queueItem, mbb geom.MBB) {
+	heap.Push(&b.queue, it)
+	b.stats.Enqueued++
+	b.emit(TraceEvent{Kind: EventNodeEnqueue, Page: it.page, Level: it.level, MBB: mbb, MinDist: it.dist})
+}
+
+// budgetExhausted names the per-query resource budget that has run out
+// ("nodes" or "io"), or "" while the search is still within budget. Both
+// budgets degrade the search instead of failing it: partial answers with
+// an honest Degraded flag beat an error on a query that already did most
+// of its work.
+func (b *bestFirst[N]) budgetExhausted() string {
+	if b.opts.MaxNodeAccesses > 0 && b.stats.NodesAccessed >= b.opts.MaxNodeAccesses {
+		return "nodes"
+	}
+	if b.opts.MaxIOReads > 0 && b.opts.IOReads != nil && b.opts.IOReads() >= b.opts.MaxIOReads {
+		return "io"
+	}
+	return ""
+}
+
+func (b *bestFirst[N]) noteUnseen(lb float64) {
+	if lb < b.unseen {
+		b.unseen = lb
+	}
+}
+
 type candState int
 
 const (
@@ -196,39 +395,20 @@ type candidate struct {
 	lo, hi  float64
 }
 
-// searcher carries one query's mutable state.
+// searcher is the MBB engine: one k-MST query's candidate state over an
+// index.Tree.
 type searcher struct {
-	ctx   context.Context
-	tree  index.Tree
-	q     *trajectory.Trajectory
-	t1    float64
-	t2    float64
-	opts  Options
-	stats Stats
+	bestFirst[*index.Node]
+	tree   index.Tree
+	q      *trajectory.Trajectory
+	t1, t2 float64
 
-	queue nodeQueue
 	cands map[trajectory.ID]*candidate
 
 	tau      float64 // cached k-th smallest hi over candidates
 	tauDirty bool
 
-	// unseenDist is the MINDIST of the next unprocessed node at the moment
-	// the search stopped visiting nodes — set when a budget runs out or
-	// Heuristic 2 terminates early, +Inf when the queue drained naturally.
-	// No trajectory confined to unexplored subtrees can have DISSIM below
-	// unseenDist · (t2 − t1): the speed-independent half of Stats.CertFloor
-	// and the certification floor of degraded results.
-	unseenDist float64
-
 	segTraj trajectory.Trajectory // reusable 2-sample wrapper
-
-	heapPops int // pop operations (>= NodesAccessed; tracing/metrics only)
-
-	// lastPop tracks the best-first monotonicity invariant under the
-	// debugassert build tag: MINDIST values must leave the heap in
-	// non-decreasing order (distances are >= 0, so the zero value is a
-	// valid floor).
-	lastPop float64
 }
 
 // Search runs BFMSTSearch on the tree for query trajectory q during
@@ -248,156 +428,60 @@ func SearchContext(ctx context.Context, tree index.Tree, q *trajectory.Trajector
 		return nil, Stats{}, fmt.Errorf("%w: query trajectory must cover period [%g, %g]", ErrBadQuery, t1, t2)
 	}
 	s := &searcher{
-		ctx:        ctx,
-		tree:       tree,
-		q:          q,
-		t1:         t1,
-		t2:         t2,
-		opts:       opts,
-		cands:      make(map[trajectory.ID]*candidate),
-		tau:        math.Inf(1),
-		tauDirty:   false,
-		unseenDist: math.Inf(1),
+		tree:  tree,
+		q:     q,
+		t1:    t1,
+		t2:    t2,
+		cands: make(map[trajectory.ID]*candidate),
+		tau:   math.Inf(1),
 	}
-	s.stats.TotalNodes = tree.NumNodes()
+	s.bestFirst = bestFirst[*index.Node]{ctx: ctx, opts: opts, eng: s, unseen: math.Inf(1)}
 	s.segTraj.Samples = make([]trajectory.Sample, 2)
 	for _, id := range opts.ExcludeIDs {
 		s.cands[id] = &candidate{id: id, state: stateRejected, hi: math.Inf(1)}
 	}
-	defer func() { s.flushMetrics(s.heapPops) }()
-	if err := s.run(); err != nil {
-		return nil, s.stats, err
-	}
-	res := s.finalize()
-	if s.stats.TotalNodes > 0 {
-		s.stats.PruningPower = 1 - float64(s.stats.NodesAccessed)/float64(s.stats.TotalNodes)
-	}
-	return res, s.stats, nil
+	return s.search(tree)
 }
 
-func (s *searcher) run() error {
-	// A context dead on arrival aborts before the first page is touched.
-	if err := index.Canceled(s.ctx); err != nil {
-		return err
-	}
-	root := s.tree.Root()
-	if root == storage.NilPage {
-		return nil
-	}
-	// Read the root node directly rather than through RootMBB, which
-	// swallows read errors into an empty bound — a corrupt or faulted root
-	// page must surface as a typed error, never as an empty result set.
-	rootNode, err := s.tree.ReadNode(root)
+func (s *searcher) read(page storage.PageID) (*index.Node, bool, error) {
+	n, err := s.tree.ReadNode(page)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	rootMBB := rootNode.MBB()
-	if !rootMBB.OverlapsTime(s.t1, s.t2) {
-		return nil
-	}
-	d, ok := index.MinDistTrajMBB(s.q, rootMBB, s.t1, s.t2)
-	if !ok {
-		return nil
-	}
-	heap.Push(&s.queue, queueItem{page: root, dist: d, level: 0})
-	s.stats.Enqueued++
-	s.emit(TraceEvent{Kind: EventNodeEnqueue, Page: root, Level: 0, MBB: rootMBB, MinDist: d})
-
-	for s.queue.Len() > 0 {
-		// Cancellation and budget checks sit between node pops: the search
-		// never starts a node read it is not entitled to, so NodesAccessed
-		// can never exceed MaxNodeAccesses.
-		if err := index.Canceled(s.ctx); err != nil {
-			return err
-		}
-		if budget := s.budgetExhausted(); budget != "" {
-			s.stats.Degraded = true
-			s.unseenDist = s.queue[0].dist
-			s.emit(TraceEvent{Kind: EventBudgetExhausted, Budget: budget, MinDist: s.unseenDist})
-			return nil
-		}
-
-		it := heap.Pop(&s.queue).(queueItem)
-		s.heapPops++
-		if debugassert.Enabled {
-			debugassert.Assertf(it.dist >= s.lastPop,
-				"best-first order violated: popped MINDIST %v after %v (page %d)",
-				it.dist, s.lastPop, it.page)
-			s.lastPop = it.dist
-		}
-
-		// Heuristic 2: MINDISSIMINC test. Because nodes pop in MINDIST
-		// order, a positive test terminates the whole search (paper lines
-		// 5-7).
-		if !s.opts.DisableHeuristic2 && s.completedCount() >= s.opts.K {
-			if m := s.minDissimInc(it.dist); m > s.threshold() {
-				s.stats.TerminatedEarly = true
-				s.unseenDist = it.dist
-				s.emit(TraceEvent{
-					Kind: EventEarlyTerminate, Page: it.page, Level: it.level,
-					MinDist: it.dist, Lo: m, Heuristic: 2, Threshold: s.threshold(),
-				})
-				return nil
-			}
-		}
-
-		n, err := s.tree.ReadNode(it.page)
-		if err != nil {
-			return err
-		}
-		s.stats.NodesAccessed++
-		if s.opts.Trace != nil { // guard: n.MBB() walks the node's entries
-			s.opts.Trace(TraceEvent{
-				Kind: EventNodeVisit, Page: it.page, Level: it.level, Leaf: n.Leaf,
-				MBB: n.MBB(), MinDist: it.dist,
-			})
-		}
-		if n.Leaf {
-			s.stats.LeavesAccessed++
-			s.processLeaf(n, it.dist)
-			continue
-		}
-		for _, c := range n.Children {
-			if !c.MBB.OverlapsTime(s.t1, s.t2) {
-				continue
-			}
-			d, ok := index.MinDistTrajMBB(s.q, c.MBB, s.t1, s.t2)
-			if !ok {
-				continue
-			}
-			if d < it.dist {
-				d = it.dist // enforce MINDIST monotonicity under round-off
-			}
-			heap.Push(&s.queue, queueItem{page: c.Page, dist: d, level: it.level + 1})
-			s.stats.Enqueued++
-			s.emit(TraceEvent{
-				Kind: EventNodeEnqueue, Page: c.Page, Level: it.level + 1,
-				MBB: c.MBB, MinDist: d,
-			})
-		}
-	}
-	return nil
+	return n, n.Leaf, nil
 }
 
-// budgetExhausted names the per-query resource budget that has run out
-// ("nodes" or "io"), or "" while the search is still within budget. Both
-// budgets degrade the search instead of failing it: partial answers with
-// an honest Degraded flag beat an error on a query that already did most
-// of its work.
-func (s *searcher) budgetExhausted() string {
-	if s.opts.MaxNodeAccesses > 0 && s.stats.NodesAccessed >= s.opts.MaxNodeAccesses {
-		return "nodes"
+// rootBound is MINDIST(q, mbb) over the query period, the bound of every
+// node (expand uses it for the children); ok is false when the box misses
+// the period.
+func (s *searcher) rootBound(mbb geom.MBB) (float64, bool) {
+	if !mbb.OverlapsTime(s.t1, s.t2) {
+		return 0, false
 	}
-	if s.opts.MaxIOReads > 0 && s.opts.IOReads != nil && s.opts.IOReads() >= s.opts.MaxIOReads {
-		return "io"
-	}
-	return ""
+	return index.MinDistTrajMBB(s.q, mbb, s.t1, s.t2)
 }
 
-// processLeaf sweeps the leaf's entries (paper lines 9-30). Entries are
-// handled in temporal order; the TB-tree stores them that way already and
-// the sort is cheap for R-tree leaves.
-func (s *searcher) processLeaf(n *index.Node, nodeDist float64) {
+// stop is the MINDISSIMINC test, armed once k candidates are complete.
+func (s *searcher) stop(dist float64) (lo, threshold float64, ok bool) {
+	if s.opts.DisableHeuristic2 || s.stats.Completed < s.opts.K {
+		return 0, 0, false
+	}
+	m := s.minDissimInc(dist)
+	return m, s.threshold(), m > s.threshold()
+}
+
+func (s *searcher) expand(n *index.Node, parent queueItem) {
+	for _, c := range n.Children {
+		if d, ok := s.rootBound(c.MBB); ok {
+			s.enqueue(parent, c.Page, c.MBB, d, false)
+		}
+	}
+}
+
+// leaf sweeps the leaf's entries (paper lines 9-30). Entries are handled
+// in temporal order; the TB-tree stores them that way already and the sort
+// is cheap for R-tree leaves.
+func (s *searcher) leaf(n *index.Node, nodeDist float64) error {
 	entries := n.Leaves
 	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Seg.A.T < entries[j].Seg.A.T }) {
 		sorted := make([]index.LeafEntry, len(entries))
@@ -416,6 +500,7 @@ func (s *searcher) processLeaf(n *index.Node, nodeDist float64) {
 		s.addEntry(cand, e)
 		s.updateCandidate(cand, nodeDist)
 	}
+	return nil
 }
 
 // candidateFor fetches or creates the candidate list for a trajectory,
@@ -423,12 +508,7 @@ func (s *searcher) processLeaf(n *index.Node, nodeDist float64) {
 func (s *searcher) candidateFor(id trajectory.ID) (*candidate, bool) {
 	c, ok := s.cands[id]
 	if !ok {
-		c = &candidate{
-			id:      id,
-			partial: dissim.NewPartial(s.t1, s.t2),
-			lo:      0,
-			hi:      math.Inf(1),
-		}
+		c = &candidate{id: id, partial: dissim.NewPartial(s.t1, s.t2), hi: math.Inf(1)}
 		s.cands[id] = c
 		s.emit(TraceEvent{Kind: EventCandidateAdmit, TrajID: id, Lo: c.lo, Hi: c.hi})
 		return c, false
@@ -535,9 +615,6 @@ func (s *searcher) threshold() float64 {
 	return s.tau
 }
 
-// completedCount returns the number of completed candidates.
-func (s *searcher) completedCount() int { return s.stats.Completed }
-
 // minDissimInc evaluates MINDISSIMINC (Definition 6) for the node about to
 // be processed: the smaller of MINDIST·period and the best OPTDISSIMINC
 // over the still-valid partially retrieved candidates (the set SC). The
@@ -572,14 +649,7 @@ func (s *searcher) finalize() []Result {
 			done = append(done, c)
 		}
 	}
-	sort.Slice(done, func(i, j int) bool {
-		vi := s.midpoint(done[i])
-		vj := s.midpoint(done[j])
-		if !geom.ExactEq(vi, vj) {
-			return vi < vj
-		}
-		return done[i].id < done[j].id
-	})
+	rankCandidates(done)
 	if len(done) == 0 {
 		s.stats.CertFloor = s.certificationFloor(nil)
 		return nil
@@ -605,14 +675,7 @@ func (s *searcher) finalize() []Result {
 			}
 		}
 		s.refineAll(toRefine)
-		sort.Slice(done, func(i, j int) bool {
-			vi := s.midpoint(done[i])
-			vj := s.midpoint(done[j])
-			if !geom.ExactEq(vi, vj) {
-				return vi < vj
-			}
-			return done[i].id < done[j].id
-		})
+		rankCandidates(done)
 	}
 
 	if len(done) > k {
@@ -620,7 +683,7 @@ func (s *searcher) finalize() []Result {
 	}
 	out := make([]Result, len(done))
 	for i, c := range done {
-		out[i] = Result{TrajID: c.id, Dissim: s.midpoint(c), Err: c.err(), Certified: true}
+		out[i] = Result{TrajID: c.id, Dissim: c.midpoint(), Err: c.err(), Certified: true}
 	}
 	// A completed search proves every returned result (the algorithm's
 	// exactness guarantee). A budget-degraded search certifies only the
@@ -637,14 +700,14 @@ func (s *searcher) finalize() []Result {
 
 // certificationFloor returns a lower bound on the DISSIM of every
 // trajectory NOT among the returned results: nodes still queued pop in
-// MINDIST order, so anything unexplored has DISSIM ≥ unseenDist · period
+// MINDIST order, so anything unexplored has DISSIM ≥ unseen · period
 // (speed-independent bound; +Inf when the queue drained); partially
 // assembled, completed-but-dropped, and rejected candidates are bounded by
 // their certified lo. A returned result whose upper bound lies below this
 // floor is provably in the true top-k, and a distributed merge can use the
 // floor (Stats.CertFloor) to rule out contributions from this tree.
 func (s *searcher) certificationFloor(returned []*candidate) float64 {
-	floor := s.unseenDist * (s.t2 - s.t1)
+	floor := s.unseen * (s.t2 - s.t1)
 	ret := make(map[trajectory.ID]bool, len(returned))
 	for _, c := range returned {
 		ret[c.id] = true
@@ -660,9 +723,20 @@ func (s *searcher) certificationFloor(returned []*candidate) float64 {
 	return floor
 }
 
+// rankCandidates orders candidates by their point estimate, ties by ID.
+func rankCandidates(done []*candidate) {
+	sort.Slice(done, func(i, j int) bool {
+		vi, vj := done[i].midpoint(), done[j].midpoint()
+		if !geom.ExactEq(vi, vj) {
+			return vi < vj
+		}
+		return done[i].id < done[j].id
+	})
+}
+
 // midpoint is the candidate's point estimate: center of its certified
 // interval (equal to the exact value after refinement).
-func (s *searcher) midpoint(c *candidate) float64 { return (c.lo + c.hi) / 2 }
+func (c *candidate) midpoint() float64 { return (c.lo + c.hi) / 2 }
 
 func (c *candidate) err() float64 { return (c.hi - c.lo) / 2 }
 
@@ -691,36 +765,39 @@ func (s *searcher) refineAll(cands []*candidate) {
 	defer func() {
 		s.emit(TraceEvent{Kind: EventRefineDone, Count: s.stats.ExactRefined, Workers: workers})
 	}()
-	if workers <= 1 {
-		for _, c := range cands {
-			s.refineExact(c)
-		}
-		return
-	}
 	type exactVal struct {
 		v  float64
 		ok bool
 	}
 	vals := make([]exactVal, len(cands))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if tr := s.opts.Data.Get(cands[i].id); tr != nil {
-					v, ok := dissim.Exact(s.q, tr, s.t1, s.t2)
-					vals[i] = exactVal{v: v, ok: ok}
+	eval := func(i int) {
+		if tr := s.opts.Data.Get(cands[i].id); tr != nil {
+			v, ok := dissim.Exact(s.q, tr, s.t1, s.t2)
+			vals[i] = exactVal{v: v, ok: ok}
+		}
+	}
+	if workers <= 1 {
+		for i := range cands {
+			eval(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		work := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range work {
+					eval(i)
 				}
-			}
-		}()
+			}()
+		}
+		for i := range cands {
+			work <- i
+		}
+		close(work)
+		wg.Wait()
 	}
-	for i := range cands {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 	for i, c := range cands {
 		if vals[i].ok {
 			s.applyExact(c, vals[i].v)
@@ -728,19 +805,8 @@ func (s *searcher) refineAll(cands []*candidate) {
 	}
 }
 
-// refineExact replaces the candidate's interval with the exact DISSIM.
-func (s *searcher) refineExact(c *candidate) {
-	tr := s.opts.Data.Get(c.id)
-	if tr == nil {
-		return
-	}
-	if v, ok := dissim.Exact(s.q, tr, s.t1, s.t2); ok {
-		s.applyExact(c, v)
-	}
-}
-
 // applyExact collapses the candidate's certified interval onto the exact
-// value v — the single admission point of both refinement paths.
+// value v.
 func (s *searcher) applyExact(c *candidate, v float64) {
 	if debugassert.Enabled {
 		// The exact DISSIM must fall inside the interval the search

@@ -28,7 +28,9 @@ const (
 	EventCandidateComplete
 	// EventCandidatePrune: Heuristic 1 evicted a candidate — its certified
 	// lower bound Lo exceeded the k-th best upper bound Threshold
-	// (Heuristic = 1). The number of these events equals Stats.Rejected.
+	// (Heuristic = 1). The number of these events with Heuristic = 1
+	// equals Stats.Rejected. The metric engine also emits it with
+	// Heuristic = 2 (Page, Level, Lo) for a subtree pruned at enqueue.
 	EventCandidatePrune
 	// EventEarlyTerminate: Heuristic 2 discarded the node at MinDist and
 	// every node after it — MINDISSIMINC (Lo) exceeded Threshold
@@ -41,7 +43,8 @@ const (
 	// candidates on Workers workers.
 	EventRefineStart
 	// EventRefined: one candidate's certified interval collapsed onto its
-	// exact DISSIM (TrajID, Exact). The number of these events equals
+	// exact DISSIM (TrajID, Exact) — in the metric engine, one exact
+	// evaluation of a candidate. The number of these events equals
 	// Stats.ExactRefined.
 	EventRefined
 	// EventRefineDone: the refinement step finished (Count refined).
@@ -158,8 +161,8 @@ type TraceEvent struct {
 // emit delivers one event to the trace hook when tracing is on. The hook
 // is nil for untraced searches, making the disabled path one predictable
 // branch with no allocation.
-func (s *searcher) emit(ev TraceEvent) {
-	if s.opts.Trace != nil {
-		s.opts.Trace(ev)
+func (b *bestFirst[N]) emit(ev TraceEvent) {
+	if b.opts.Trace != nil {
+		b.opts.Trace(ev)
 	}
 }

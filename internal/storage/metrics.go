@@ -2,24 +2,14 @@ package storage
 
 import "mstsearch/internal/obs"
 
-// Process-wide pool metrics, one set per pool kind: "buffer" is the
-// per-query BufferPool, "striped" the shared StripedPool. Handles resolve
-// once at init and each pool operation costs at most one extra atomic add
-// per counter touched — the hot paths stay allocation-free.
-type poolMetrics struct {
+// Process-wide buffer-pool metrics. Handles resolve once at init and each
+// pool operation costs at most one extra atomic add per counter touched —
+// the hot paths stay allocation-free.
+var metPool = struct {
 	hits, misses, retries, evictions *obs.Counter
+}{
+	hits:      obs.Default.Counter("storage.pool.striped.hits"),
+	misses:    obs.Default.Counter("storage.pool.striped.misses"),
+	retries:   obs.Default.Counter("storage.pool.striped.retries"),
+	evictions: obs.Default.Counter("storage.pool.striped.evictions"),
 }
-
-func newPoolMetrics(kind string) poolMetrics {
-	return poolMetrics{
-		hits:      obs.Default.Counter("storage.pool." + kind + ".hits"),
-		misses:    obs.Default.Counter("storage.pool." + kind + ".misses"),
-		retries:   obs.Default.Counter("storage.pool." + kind + ".retries"),
-		evictions: obs.Default.Counter("storage.pool." + kind + ".evictions"),
-	}
-}
-
-var (
-	metBuffer  = newPoolMetrics("buffer")
-	metStriped = newPoolMetrics("striped")
-)

@@ -81,6 +81,9 @@ func TestFileStats(t *testing.T) {
 	}
 }
 
+// The buffer-pool tests below drive a one-stripe StripedPool: a single
+// LRU list, the per-query buffer of the paper's experiments.
+
 func TestBufferPoolHitMiss(t *testing.T) {
 	f := NewFile(32)
 	var ids []PageID
@@ -90,7 +93,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 		ids = append(ids, id)
 	}
 	f.ResetStats()
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	// First read: miss + physical read.
 	if _, err := bp.Read(ids[0]); err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 		_ = f.Write(id, fill(32, byte(i)))
 		ids = append(ids, id)
 	}
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	_, _ = bp.Read(ids[0])
 	_, _ = bp.Read(ids[1])
 	_, _ = bp.Read(ids[0]) // promote ids[0]
@@ -140,7 +143,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 func TestBufferPoolWriteBack(t *testing.T) {
 	f := NewFile(32)
 	id, _ := f.Alloc()
-	bp := NewBufferPool(f, 1)
+	bp := NewStripedPool(f, 1, 1)
 	if err := bp.Write(id, fill(32, 0x7)); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 	f := NewFile(32)
 	a, _ := f.Alloc()
 	bb, _ := f.Alloc()
-	bp := NewBufferPool(f, 1)
+	bp := NewStripedPool(f, 1, 1)
 	_ = bp.Write(a, fill(32, 0x1))
 	_, _ = bp.Read(bb) // evicts dirty a
 	raw, _ := f.Read(a)
@@ -179,7 +182,7 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 
 func TestBufferPoolAllocCached(t *testing.T) {
 	f := NewFile(32)
-	bp := NewBufferPool(f, 4)
+	bp := NewStripedPool(f, 4, 1)
 	id, err := bp.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +200,7 @@ func TestBufferPoolAllocCached(t *testing.T) {
 
 func TestBufferPoolErrors(t *testing.T) {
 	f := NewFile(32)
-	bp := NewBufferPool(f, 2)
+	bp := NewStripedPool(f, 2, 1)
 	if _, err := bp.Read(9); err == nil {
 		t.Fatal("read of unallocated page must fail")
 	}
@@ -215,19 +218,22 @@ func TestNewPaperBuffer(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_, _ = f.Alloc()
 	}
-	if c := NewPaperBuffer(f).Capacity(); c != 5 {
+	if c := NewPaperPool(f, 1).Capacity(); c != 5 {
 		t.Fatalf("10%% of 50 pages = %d, want 5", c)
 	}
 	f2 := NewFile(DefaultPageSize)
 	for i := 0; i < 20000; i++ {
 		_, _ = f2.Alloc()
 	}
-	if c := NewPaperBuffer(f2).Capacity(); c != 1000 {
+	if c := NewPaperPool(f2, 1).Capacity(); c != 1000 {
 		t.Fatalf("cap at 1000 pages, got %d", c)
 	}
 	f3 := NewFile(DefaultPageSize)
-	if c := NewPaperBuffer(f3).Capacity(); c != 1 {
+	if c := NewPaperPool(f3, 1).Capacity(); c != 1 {
 		t.Fatalf("minimum capacity 1, got %d", c)
+	}
+	if s := NewPaperPool(f, 1).Stripes(); s != 1 {
+		t.Fatalf("per-query paper pool has %d stripes, want one LRU", s)
 	}
 }
 
@@ -236,7 +242,7 @@ func TestNewPaperBuffer(t *testing.T) {
 func TestBufferPoolConsistencyStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := NewFile(16)
-	bp := NewBufferPool(f, 3)
+	bp := NewStripedPool(f, 3, 1)
 	shadow := map[PageID][]byte{}
 	var ids []PageID
 	for i := 0; i < 2000; i++ {
@@ -286,7 +292,7 @@ func TestSharedPoolBasics(t *testing.T) {
 		ids = append(ids, id)
 	}
 	f.ResetStats()
-	sp := NewSharedPool(f, 3)
+	sp := NewStripedPool(f, 3, 0)
 	if sp.PageSize() != 32 || sp.NumPages() != 6 || sp.Capacity() != 3 {
 		t.Fatalf("shared pool shape: %d %d %d", sp.PageSize(), sp.NumPages(), sp.Capacity())
 	}
@@ -333,7 +339,7 @@ func TestSharedPoolConcurrentReaders(t *testing.T) {
 		_ = f.Write(id, fill(64, byte(i)))
 		ids = append(ids, id)
 	}
-	sp := NewSharedPool(f, 8)
+	sp := NewStripedPool(f, 8, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {

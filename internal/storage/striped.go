@@ -2,9 +2,11 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mstsearch/internal/debugassert"
 )
@@ -15,13 +17,30 @@ import (
 // capacity below one page per shard.
 const DefaultStripes = 16
 
-// StripedPool is a latch-striped shared buffer pool: one warm page cache
-// safely usable by every concurrent query, partitioned into independent
-// lock shards keyed by PageID. Each shard owns a private LRU segment and
-// its slice of the total capacity (the per-shard capacities sum to the
-// requested capacity, e.g. the paper's 10 % rule), so concurrent readers
-// of pages in distinct shards never touch the same latch — the read-mostly
-// fast path a serving workload needs. Because a page id maps to exactly
+// maxReadRetries bounds how many times a miss is re-read after a
+// retryable fault; retryBackoff is the base delay, doubled per attempt
+// (50µs, 100µs, 200µs — long enough to step over a transient glitch,
+// short enough to keep fault-injection tests fast).
+const (
+	maxReadRetries = 3
+	retryBackoff   = 50 * time.Microsecond
+)
+
+// StripedPool is the buffer pool: an LRU write-back page cache layered
+// over any Pager, partitioned into independent lock shards keyed by
+// PageID. It implements Pager itself, so index structures can be built
+// against either the raw file or the buffered view without code changes.
+//
+// With the default stripes it is the warm pool one DB (or one batch)
+// shares across concurrent queries. With a single stripe it is one LRU
+// list, the paper's per-query buffer: hit, miss and page-read counts
+// follow the paper's policy exactly.
+//
+// Each shard owns a private LRU segment and its slice of the total
+// capacity (the per-shard capacities sum to the requested capacity, e.g.
+// the paper's 10 % rule), so concurrent readers of pages in distinct
+// shards never touch the same latch — the read-mostly fast path a serving
+// workload needs. Because a page id maps to exactly
 // one shard, all inner-pager I/O for a given page is serialized by that
 // shard's latch; different shards only ever access distinct pages
 // concurrently, which File and DiskFile support.
@@ -30,6 +49,12 @@ const DefaultStripes = 16
 // race with in-flight readers. Reads copy the frame out under the shard
 // latch: the returned slice is private to the caller and remains valid
 // indefinitely.
+//
+// The pool is the hardening point of the read path: a miss that comes back
+// with a transient fault (ErrTransient) or a checksum mismatch — possibly
+// a bit flip between the pool and the page's owner — is retried a bounded
+// number of times with a short backoff before the error is surfaced.
+// Permanent faults and out-of-range reads are never retried.
 type StripedPool struct {
 	inner    Pager
 	pageSize int
@@ -50,6 +75,12 @@ type StripedPool struct {
 	// fields above (which are either immutable after construction, atomic,
 	// or latched per shard).
 	structMu sync.RWMutex // lockrank: 30 — above every shard lock
+}
+
+type frame struct {
+	id    PageID
+	data  []byte
+	dirty bool
 }
 
 // poolShard is one lock stripe: a mutex plus the LRU segment of the pages
@@ -99,6 +130,63 @@ func NewStripedPool(inner Pager, capacity, stripes int) *StripedPool {
 	return p
 }
 
+// paperCapacity is the paper's buffer policy (§5): 10 % of the index's
+// page count, capped at 1000 pages and at least one page.
+func paperCapacity(numPages int) int {
+	c := numPages / 10
+	if c > 1000 {
+		c = 1000
+	}
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
+// NewPaperPool applies the paper's buffer policy to an existing pager:
+// capacity = 10 % of its current page count, capped at 1000 pages (and at
+// least one page), split across stripes lock shards as in NewStripedPool.
+// A per-query pool passes 1 (one LRU, the paper's accounting); a pool
+// shared by concurrent queries passes 0 (the default shard policy).
+func NewPaperPool(inner Pager, stripes int) *StripedPool {
+	return NewStripedPool(inner, paperCapacity(inner.NumPages()), stripes)
+}
+
+// retryable reports whether a read error may resolve on re-read: injected
+// transient faults, and checksum mismatches (an in-transit bit flip reads
+// clean the second time; truly rotten pages keep failing and the error
+// stands after the retry budget).
+func retryable(err error) bool {
+	return errors.Is(err, ErrTransient) || errors.Is(err, ErrPageCorrupt{})
+}
+
+// readVerified pulls a page from a pager with verification and bounded
+// retry — the pool's miss path. When the inner chain exposes an
+// authoritative checksum (Checksummer), the payload is verified against
+// it, catching corruption introduced between the pool and the page's
+// owner. onRetry is invoked once per retried attempt so the caller can
+// account for it.
+func readVerified(inner Pager, id PageID, onRetry func()) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		src, err := inner.Read(id)
+		if err == nil {
+			if ck, ok := inner.(Checksummer); ok {
+				if want, known := ck.PageChecksum(id); known && crc32.ChecksumIEEE(src) != want {
+					err = ErrPageCorrupt{Page: id}
+				}
+			}
+			if err == nil {
+				return src, nil
+			}
+		}
+		if attempt >= maxReadRetries || !retryable(err) {
+			return nil, err
+		}
+		onRetry()
+		time.Sleep(retryBackoff << attempt)
+	}
+}
+
 // shardFor returns the lock stripe owning the page.
 func (p *StripedPool) shardFor(id PageID) *poolShard {
 	return &p.shards[uint32(id)&p.mask]
@@ -146,15 +234,15 @@ func (p *StripedPool) Read(id PageID) ([]byte, error) {
 	defer sh.mu.Unlock()
 	if el, ok := sh.frames[id]; ok {
 		p.hits.Add(1)
-		metStriped.hits.Inc()
+		metPool.hits.Inc()
 		sh.lru.MoveToFront(el)
 		return cloneBytes(el.Value.(*frame).data), nil
 	}
 	p.misses.Add(1)
-	metStriped.misses.Inc()
+	metPool.misses.Inc()
 	src, err := readVerified(p.inner, id, func() {
 		p.retries.Add(1)
-		metStriped.retries.Inc()
+		metPool.retries.Inc()
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +255,7 @@ func (p *StripedPool) Read(id PageID) ([]byte, error) {
 }
 
 // Write implements Pager: the page is updated in the owning shard's cache
-// and flushed lazily (write-back), exactly like BufferPool.
+// and flushed lazily (write-back).
 func (p *StripedPool) Write(id PageID, data []byte) error {
 	p.structMu.RLock()
 	defer p.structMu.RUnlock()
@@ -182,7 +270,7 @@ func (p *StripedPool) Write(id PageID, data []byte) error {
 	defer sh.mu.Unlock()
 	if el, ok := sh.frames[id]; ok {
 		p.hits.Add(1)
-		metStriped.hits.Inc()
+		metPool.hits.Inc()
 		fr := el.Value.(*frame)
 		copy(fr.data, data)
 		fr.dirty = true
@@ -190,7 +278,7 @@ func (p *StripedPool) Write(id PageID, data []byte) error {
 		return nil
 	}
 	p.misses.Add(1)
-	metStriped.misses.Inc()
+	metPool.misses.Inc()
 	return sh.insert(p, id, cloneBytes(data), true)
 }
 
@@ -229,6 +317,9 @@ func (p *StripedPool) Flush() error {
 	}
 	return nil
 }
+
+// statsProvider is any pager exposing I/O counters.
+type statsProvider interface{ Stats() Stats }
 
 // Stats snapshots the pool's counters — atomics, so the snapshot is exact
 // and never races with in-flight readers — combined with the inner pager's
@@ -283,9 +374,12 @@ func (sh *poolShard) evictIfFull(p *StripedPool) error {
 				return err
 			}
 		} else if debugassert.Enabled {
-			// Sanitizer check (same contract as BufferPool): a clean frame
-			// leaving the pool must still match the inner pager's
-			// authoritative checksum.
+			// Sanitizer check: a clean frame leaving the pool must still
+			// match the inner pager's authoritative checksum — anything
+			// else is in-memory corruption of the cached copy or a lost
+			// dirty bit, both of which would vanish silently with the
+			// eviction. Pagers without an authoritative CRC (e.g. fault
+			// injectors) are skipped.
 			if ck, ok := inner.(Checksummer); ok {
 				if want, known := ck.PageChecksum(fr.id); known {
 					got := crc32.ChecksumIEEE(fr.data)
@@ -298,7 +392,7 @@ func (sh *poolShard) evictIfFull(p *StripedPool) error {
 		sh.lru.Remove(el)
 		delete(sh.frames, fr.id)
 		p.evictions.Add(1)
-		metStriped.evictions.Inc()
+		metPool.evictions.Inc()
 	}
 	return nil
 }

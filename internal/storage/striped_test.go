@@ -55,7 +55,7 @@ func TestSharedPaperPoolIsStriped(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		_, _ = f.Alloc()
 	}
-	sp := NewSharedPaperPool(f)
+	sp := NewPaperPool(f, 0)
 	if sp.Capacity() != 200 {
 		t.Fatalf("paper capacity = %d, want 200 (10%% of 2000)", sp.Capacity())
 	}
@@ -235,7 +235,7 @@ func TestStripedPoolStatsAtomic(t *testing.T) {
 	pollerDone := make(chan struct{})
 
 	// Concurrent Stats poller — must be race-free against the in-flight
-	// readers (this is the PR's SharedPool.Stats fix). A fixed iteration
+	// readers (Stats reads atomics only). A fixed iteration
 	// count terminates it regardless of scheduling, so no stop-channel
 	// coordination can deadlock or starve on a single CPU.
 	go func() {

@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,15 +29,17 @@ func TestMetamorphicKPrefix(t *testing.T) {
 				q := oracleQuery(rng, 61)
 				t1, t2 := oracleWindow(rng)
 				const kMax = 8
-				full, _, err := db.KMostSimilar(q, t1, t2, kMax)
+				resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: t1, T2: t2}, K: kMax, Options: DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
+				full := resp.Results
 				for _, kSmall := range []int{1, 3, kMax - 1} {
-					pre, _, err := db.KMostSimilar(q, t1, t2, kSmall)
+					resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: t1, T2: t2}, K: kSmall, Options: DefaultOptions()})
 					if err != nil {
 						t.Fatal(err)
 					}
+					pre := resp.Results
 					want := full
 					if len(want) > kSmall {
 						want = want[:kSmall]
@@ -74,10 +77,11 @@ func TestMetamorphicDuplicate(t *testing.T) {
 					q.Samples[j].X += rng.NormFloat64() * 0.01
 					q.Samples[j].Y += rng.NormFloat64() * 0.01
 				}
-				res, _, err := db.KMostSimilar(&q, 0, 1, len(withDup))
+				resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 1}, K: len(withDup), Options: DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := resp.Results
 				var dOrig, dCopy float64
 				foundOrig, foundCopy := false, false
 				for _, r := range res {
@@ -139,14 +143,16 @@ func TestMetamorphicWindowShrink(t *testing.T) {
 				// Through the index: the same inequality for results
 				// surviving in both top-k answers.
 				const k = 10
-				full, _, err := db.KMostSimilar(q, t1, t2, k)
+				resp, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: t1, T2: t2}, K: k, Options: DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub, _, err := db.KMostSimilar(q, s1, s2, k)
+				full := resp.Results
+				resp, err = db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: s1, T2: s2}, K: k, Options: DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
+				sub := resp.Results
 				fullBy := make(map[ID]float64, len(full))
 				for _, r := range full {
 					fullBy[r.TrajID] = r.Dissim

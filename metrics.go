@@ -29,7 +29,7 @@ func newQueryMetrics(kind string) *queryMetrics {
 }
 
 // One instrument set per query kind, matching the DB entry points:
-// "kmst" covers Query/QueryAuto and the deprecated KMostSimilar family,
+// "kmst" covers Query/QueryAuto,
 // "batch" the batch executor, "explain" the EXPLAIN runner.
 var (
 	metKMST     = newQueryMetrics("kmst")

@@ -11,7 +11,11 @@
 // # Quick start
 //
 //	db, err := mstsearch.NewDB(mstsearch.TBTree, trajectories)
-//	results, stats, err := db.KMostSimilar(&query, t1, t2, 5)
+//	resp, err := db.Query(ctx, mstsearch.Request{
+//		Q: &query, Interval: mstsearch.Interval{T1: t1, T2: t2}, K: 5,
+//		Options: mstsearch.DefaultOptions(),
+//	})
+//	// resp.Results holds the 5 most similar trajectories, resp.Stats the work done.
 //
 // The package also exposes the building blocks: exact and approximate
 // DISSIM between two trajectories, the LCSS/EDR/DTW baseline measures, and
@@ -99,7 +103,7 @@ type SearchStats struct {
 // Options tunes a search beyond the defaults; the zero value is sensible.
 type Options struct {
 	// ExactRefine recomputes exact DISSIM for result candidates whose
-	// error intervals overlap (default true via DB.KMostSimilar).
+	// error intervals overlap (DefaultOptions turns it on).
 	ExactRefine bool
 	// DisableHeuristic1 / DisableHeuristic2 switch off the paper's pruning
 	// heuristics — useful only for measurement.
@@ -223,7 +227,7 @@ type DB struct {
 	byID  map[ID]int
 	vmax  float64
 
-	warm *storage.SharedPool // optional warm buffer shared across queries
+	warm *storage.StripedPool // optional warm buffer shared across queries
 
 	// Durable mode (OpenDurable): the write-ahead log mutations journal
 	// into, the directory holding it and the checkpoint snapshots, and
@@ -301,12 +305,6 @@ func (db *DB) SetPagerWrapper(wrap func(Pager) Pager) {
 	if db.warm != nil {
 		db.warm = db.newWarmPool()
 	}
-}
-
-// statsPager is the query-side pager view: page access plus counters.
-type statsPager interface {
-	storage.Pager
-	Stats() storage.Stats
 }
 
 // Open creates an empty database backed by the chosen index structure.
@@ -393,8 +391,8 @@ func (db *DB) invalidate() {
 // newWarmPool builds the shared striped pool over the (possibly
 // fault-wrapped) page file, with the paper's capacity policy. Callers
 // must hold db.mu (write side).
-func (db *DB) newWarmPool() *storage.SharedPool {
-	return storage.NewSharedPaperPool(db.wrappedFile())
+func (db *DB) newWarmPool() *storage.StripedPool {
+	return storage.NewPaperPool(db.wrappedFile(), 0)
 }
 
 // AppendSample extends a stored trajectory with one newer position — the
@@ -602,19 +600,19 @@ func (db *DB) EnableWarmBuffer() {
 // injection seam when installed). Callers must hold db.mu and type-switch
 // the view to the capability they need (index.Tree for segment-level
 // queries, index.MetricTree for metric kNN).
-func (db *DB) view() (index.Index, statsPager) {
-	bp := db.queryPager()
-	return db.indexOn(bp), bp
+func (db *DB) view() index.Index {
+	return db.indexOn(db.queryPager())
 }
 
 // queryPager picks the pager a query reads through: the shared warm pool
-// when enabled, otherwise a fresh per-query buffer pool over the (possibly
-// fault-wrapped) page file. Callers must hold db.mu.
-func (db *DB) queryPager() statsPager {
+// when enabled, otherwise a fresh per-query pool over the (possibly
+// fault-wrapped) page file — one stripe, so one LRU list at the paper's
+// capacity. Callers must hold db.mu.
+func (db *DB) queryPager() *storage.StripedPool {
 	if db.warm != nil {
 		return db.warm
 	}
-	return storage.NewPaperBuffer(db.wrappedFile())
+	return storage.NewPaperPool(db.wrappedFile(), 1)
 }
 
 // wrappedFile returns the page file behind the fault-injection /
@@ -633,48 +631,6 @@ func (db *DB) indexOn(bp storage.Pager) index.Index {
 	return db.eng.view(bp)
 }
 
-// KMostSimilar runs a k-MST query: the k stored trajectories with the
-// smallest DISSIM from q over the period [t1, t2] (both q and the answers
-// must be defined throughout the period). Results come back most similar
-// first with exact dissimilarities.
-//
-// Deprecated: use [DB.Query] with [DefaultOptions], the canonical
-// context-first entry point. This wrapper remains for compatibility and
-// will not be removed, but new call sites should not be written against
-// it.
-func (db *DB) KMostSimilar(q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, error) {
-	r, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions()})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarContext is KMostSimilar under a context: a canceled or
-// expired context aborts the search between node visits with an error
-// wrapping ErrCanceled.
-//
-// Deprecated: use [DB.Query] with [DefaultOptions].
-func (db *DB) KMostSimilarContext(ctx context.Context, q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, error) {
-	r, err := db.Query(ctx, Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions()})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarOpts is KMostSimilar with explicit Options.
-//
-// Deprecated: use [DB.Query].
-func (db *DB) KMostSimilarOpts(q *Trajectory, t1, t2 float64, k int, o Options) ([]Result, SearchStats, error) {
-	r, err := db.Query(context.Background(), Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: o})
-	return r.Results, r.Stats, err
-}
-
-// KMostSimilarOptsContext is the fully explicit legacy k-MST entry point:
-// context-aware and Options-tuned.
-//
-// Deprecated: use [DB.Query], which carries the same capabilities on a
-// single Request/Response pair.
-func (db *DB) KMostSimilarOptsContext(ctx context.Context, q *Trajectory, t1, t2 float64, k int, o Options) ([]Result, SearchStats, error) {
-	r, err := db.Query(ctx, Request{Q: q, Interval: Interval{t1, t2}, K: k, Options: o})
-	return r.Results, r.Stats, err
-}
-
 // kMostSimilarOn runs one k-MST / metric-kNN query through the given
 // pager — the common core of the single-query entry points (fresh or warm
 // pool) and the batch executor (pool shared across workers). Callers must
@@ -683,7 +639,7 @@ func (db *DB) KMostSimilarOptsContext(ctx context.Context, q *Trajectory, t1, t2
 // queries interleave on the same counters, so per-query
 // PageReads/BufferHits are approximate while the pool-level totals stay
 // exact.
-func (db *DB) kMostSimilarOn(ctx context.Context, bp statsPager, q *Trajectory, t1, t2 float64, k int, m Metric, eps float64, o Options) ([]Result, SearchStats, error) {
+func (db *DB) kMostSimilarOn(ctx context.Context, bp *storage.StripedPool, q *Trajectory, t1, t2 float64, k int, m Metric, eps float64, o Options) ([]Result, SearchStats, error) {
 	if q == nil {
 		return nil, SearchStats{}, fmt.Errorf("%w: nil query trajectory", ErrBadQuery)
 	}
@@ -776,19 +732,6 @@ func (db *DB) KMostSimilarTo(id ID, t1, t2 float64, k int) ([]Result, SearchStat
 	return r.Results, r.Stats, err
 }
 
-// KMostSimilarAuto answers a k-MST query through whichever execution plan
-// the selectivity cost model predicts is cheaper (see [DB.QueryAuto]).
-// The bool reports whether the index was used.
-//
-// Deprecated: use [DB.QueryAuto], which evaluates the plan choice and the
-// query under one consistent snapshot of the store.
-func (db *DB) KMostSimilarAuto(q *Trajectory, t1, t2 float64, k int) ([]Result, SearchStats, bool, error) {
-	r, usedIndex, err := db.QueryAuto(context.Background(), Request{
-		Q: q, Interval: Interval{t1, t2}, K: k, Options: DefaultOptions(),
-	})
-	return r.Results, r.Stats, usedIndex, err
-}
-
 // Dissimilarity returns the exact DISSIM between two trajectories over
 // [t1, t2]; ok is false when either does not cover the period.
 func Dissimilarity(q, t *Trajectory, t1, t2 float64) (float64, bool) {
@@ -840,41 +783,10 @@ func (h SegmentHit) Start() STPoint { return STPoint{X: h.X1, Y: h.Y1, T: h.T1} 
 // End returns the segment's later endpoint as a typed point.
 func (h SegmentHit) End() STPoint { return STPoint{X: h.X2, Y: h.Y2, T: h.T2} }
 
-// RangeQuery returns every stored segment intersecting the spatial window
-// [minX, maxX] × [minY, maxY] during [t1, t2].
-//
-// Deprecated: use [DB.Range], which takes typed Window/Interval values
-// instead of six positional floats.
-func (db *DB) RangeQuery(minX, minY, maxX, maxY, t1, t2 float64) ([]SegmentHit, error) {
-	return db.Range(context.Background(), Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
-// RangeQueryContext is RangeQuery under a context.
-//
-// Deprecated: use [DB.Range].
-func (db *DB) RangeQueryContext(ctx context.Context, minX, minY, maxX, maxY, t1, t2 float64) ([]SegmentHit, error) {
-	return db.Range(ctx, Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
 // Neighbor is one historical point-NN answer.
 type Neighbor struct {
 	TrajID ID
 	Dist   float64
-}
-
-// NearestAt returns the k moving objects closest to point (x, y) at time
-// instant t.
-//
-// Deprecated: use [DB.Nearest], the context-first equivalent.
-func (db *DB) NearestAt(x, y, t float64, k int) ([]Neighbor, error) {
-	return db.Nearest(context.Background(), x, y, t, k)
-}
-
-// NearestAtContext is NearestAt under a context.
-//
-// Deprecated: use [DB.Nearest].
-func (db *DB) NearestAtContext(ctx context.Context, x, y, t float64, k int) ([]Neighbor, error) {
-	return db.Nearest(ctx, x, y, t, k)
 }
 
 // TopologyResult describes how one stored trajectory relates to a queried
@@ -889,45 +801,12 @@ type TopologyResult struct {
 	InsideDuration float64
 }
 
-// TopologyQuery classifies every stored trajectory that touches the
-// spatial region [minX, maxX] × [minY, maxY] during [t1, t2] by its
-// topological relation (enter/leave/cross/…).
-//
-// Deprecated: use [DB.Topology], which takes typed Window/Interval values
-// instead of six positional floats.
-func (db *DB) TopologyQuery(minX, minY, maxX, maxY, t1, t2 float64) ([]TopologyResult, error) {
-	return db.Topology(context.Background(), Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
-// TopologyQueryContext is TopologyQuery under a context.
-//
-// Deprecated: use [DB.Topology].
-func (db *DB) TopologyQueryContext(ctx context.Context, minX, minY, maxX, maxY, t1, t2 float64) ([]TopologyResult, error) {
-	return db.Topology(ctx, Window{minX, minY, maxX, maxY}, Interval{t1, t2})
-}
-
 // RelaxedResult is one time-relaxed k-MST answer: the best DISSIM over all
 // feasible time shifts of the query, and the shift achieving it.
 type RelaxedResult struct {
 	TrajID ID
 	Dissim float64
 	Offset float64
-}
-
-// KMostSimilarRelaxed answers the Time-Relaxed MST query (the paper's §6
-// research direction): the k trajectories minimizing DISSIM over every
-// feasible time shift of the query.
-//
-// Deprecated: use [DB.Relaxed], the context-first equivalent.
-func (db *DB) KMostSimilarRelaxed(q *Trajectory, k int) ([]RelaxedResult, error) {
-	return db.Relaxed(context.Background(), q, k)
-}
-
-// KMostSimilarRelaxedContext is KMostSimilarRelaxed under a context.
-//
-// Deprecated: use [DB.Relaxed].
-func (db *DB) KMostSimilarRelaxedContext(ctx context.Context, q *Trajectory, k int) ([]RelaxedResult, error) {
-	return db.Relaxed(ctx, q, k)
 }
 
 // QueryCostEstimate prices a k-MST query before running it (see package
@@ -945,7 +824,7 @@ type QueryCostEstimate struct {
 	RangeSelectivity float64
 }
 
-// EstimateQueryCost predicts the work a KMostSimilar call would perform,
+// EstimateQueryCost predicts the work a k-MST query would perform,
 // using a 3D histogram over the stored segments (built lazily, cached
 // until the next Add).
 func (db *DB) EstimateQueryCost(q *Trajectory, t1, t2 float64, k int) (QueryCostEstimate, error) {
@@ -975,14 +854,6 @@ func (db *DB) estimateQueryCostLocked(q *Trajectory, t1, t2 float64, k int) (Que
 		ExpectedLeafPages: est.LeafPages,
 		RangeSelectivity:  h.Selectivity(box),
 	}, nil
-}
-
-// EstimateRangeCount predicts how many segments a RangeQuery would return.
-//
-// Deprecated: use [DB.EstimateRange], which takes typed Window/Interval
-// values instead of six positional floats.
-func (db *DB) EstimateRangeCount(minX, minY, maxX, maxY, t1, t2 float64) (float64, error) {
-	return db.EstimateRange(Window{minX, minY, maxX, maxY}, Interval{t1, t2})
 }
 
 // histogram lazily builds the selectivity histogram (resolution grows with

@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,10 +74,11 @@ func TestKMostSimilarFindsPlantedTwin(t *testing.T) {
 			q.Samples[i].X += rng.NormFloat64() * 0.05
 			q.Samples[i].Y += rng.NormFloat64() * 0.05
 		}
-		res, stats, err := db.KMostSimilar(&q, 0, 10, 3)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 3, Options: DefaultOptions()})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		res, stats := resp.Results, resp.Stats
 		if len(res) != 3 {
 			t.Fatalf("%s: %d results", kind, len(res))
 		}
@@ -101,10 +103,11 @@ func TestKMostSimilarMatchesPairwiseDissimilarity(t *testing.T) {
 	}
 	q := trajs[4].Clone()
 	q.ID = 0
-	res, _, err := db.KMostSimilar(&q, 2, 8, 5)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 8}, K: 5, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	for _, r := range res {
 		want, ok := Dissimilarity(&q, db.Get(r.TrajID), 2, 8)
 		if !ok {
@@ -167,10 +170,11 @@ func TestCompressTDTR(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ID = 0
-	res, _, err := db.KMostSimilar(&c, 0, 99, 1)
+	resp, err := db.Query(context.Background(), Request{Q: &c, Interval: Interval{T1: 0, T2: 99}, K: 1, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 1 {
 		t.Fatalf("compressed query result: %+v", res)
 	}
@@ -185,16 +189,18 @@ func TestSearchOptionsAblation(t *testing.T) {
 	}
 	q := trajs[0].Clone()
 	q.ID = 0
-	base, _, err := db.KMostSimilar(&q, 0, 10, 2)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 2, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noH, _, err := db.KMostSimilarOpts(&q, 0, 10, 2, Options{
+	base := resp.Results
+	resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 2, Options: Options{
 		ExactRefine: true, DisableHeuristic1: true, DisableHeuristic2: true, Refine: 1,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	noH := resp.Results
 	for i := range base {
 		if base[i].TrajID != noH[i].TrajID {
 			t.Fatalf("heuristics changed results: %+v vs %+v", base, noH)
@@ -223,10 +229,11 @@ func TestAppendSample(t *testing.T) {
 			{X: last.X, Y: last.Y, T: last.T},
 			{X: last.X + 1, Y: last.Y, T: last.T + 1},
 		}}
-		res, _, err := db.KMostSimilar(&q, last.T, last.T+1, 1)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: last.T, T2: last.T + 1}, K: 1, Options: DefaultOptions()})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		res := resp.Results
 		if len(res) != 1 || res[0].TrajID != 3 {
 			t.Fatalf("%s: appended tail not found: %+v", kind, res)
 		}
@@ -291,14 +298,16 @@ func TestKMostSimilarAutoAgreesWithIndex(t *testing.T) {
 	// Narrow query → index plan.
 	q := trajs[2].Clone()
 	q.ID = 0
-	auto, _, usedIndex, err := db.KMostSimilarAuto(&q, 2, 4, 2)
+	resp, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 4}, K: 2, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := db.KMostSimilar(&q, 2, 4, 2)
+	auto := resp.Results
+	resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 4}, K: 2, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := resp.Results
 	if len(auto) != len(want) {
 		t.Fatalf("auto plan returned %d results, want %d", len(auto), len(want))
 	}
@@ -329,10 +338,11 @@ func TestGeoImportFacade(t *testing.T) {
 	}
 	q := tr.Clone()
 	q.ID = 0
-	res, _, err := db.KMostSimilar(&q, 0, 60, 1)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 60}, K: 1, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 1 || res[0].Dissim > 1e-6 {
 		t.Fatalf("GPS-imported self query: %+v", res)
 	}

@@ -145,11 +145,11 @@ func TestDifferentialOracle(t *testing.T) {
 					serial := resp.Results
 					checkOracle(t, "serial", i, serial, want)
 
-					par, _, err := db.KMostSimilarOpts(q, t1, t2, k,
-						Options{ExactRefine: true, Refine: 1, Parallelism: 4})
+					resp, err = db.Query(context.Background(), Request{Q: q, Interval: Interval{T1: t1, T2: t2}, K: k, Options: Options{ExactRefine: true, Refine: 1, Parallelism: 4}})
 					if err != nil {
 						t.Fatalf("iter %d parallel: %v", i, err)
 					}
+					par := resp.Results
 					checkOracle(t, "parallel", i, par, want)
 					checkBitIdentical(t, "single", i, serial, par)
 
@@ -188,10 +188,11 @@ func TestOracleSelfQuery(t *testing.T) {
 		}
 		for _, id := range []int{0, 7, 24} {
 			q := trajs[id].Clone()
-			res, _, err := db.KMostSimilar(&q, 0, 1, 1)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 1}, K: 1, Options: DefaultOptions()})
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
+			res := resp.Results
 			if len(res) != 1 || res[0].TrajID != trajs[id].ID {
 				t.Fatalf("%s: self-query for traj %d returned %+v", kind, trajs[id].ID, res)
 			}

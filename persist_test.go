@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -21,10 +22,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		q := trajs[6].Clone()
 		q.ID = 0
-		want, _, err := db.KMostSimilar(&q, 0, 10, 3)
+		resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 3, Options: DefaultOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := resp.Results
 
 		path := filepath.Join(dir, kind.String()+".mstdb")
 		if err := db.Save(path); err != nil {
@@ -40,10 +42,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got.IndexSizeMB() != db.IndexSizeMB() {
 			t.Fatalf("%s: loaded index size differs", kind)
 		}
-		res, _, err := got.KMostSimilar(&q, 0, 10, 3)
+		resp, err = got.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 3, Options: DefaultOptions()})
 		if err != nil {
 			t.Fatalf("%s: query after load: %v", kind, err)
 		}
+		res := resp.Results
 		if len(res) != len(want) {
 			t.Fatalf("%s: result count differs", kind)
 		}
@@ -78,10 +81,11 @@ func TestLoadedRTreeAcceptsInserts(t *testing.T) {
 	}
 	q := extra.Clone()
 	q.ID = 0
-	res, _, err := got.KMostSimilar(&q, 0, 10, 1)
+	resp, err := got.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 1, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results
 	if len(res) != 1 || res[0].TrajID != 99 {
 		t.Fatalf("post-load insert not searchable: %+v", res)
 	}

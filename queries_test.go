@@ -1,6 +1,7 @@
 package mstsearch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,7 +22,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			minX, minY := rng.Float64()*80, rng.Float64()*80
 			t1 := rng.Float64() * 8
-			hits, err := db.RangeQuery(minX, minY, minX+20, minY+20, t1, t1+2)
+			hits, err := db.Range(context.Background(), Window{MinX: minX, MinY: minY, MaxX: minX + 20, MaxY: minY + 20}, Interval{T1: t1, T2: t1 + 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestNearestAtFacade(t *testing.T) {
 	// Query at the exact position of object 5 at t=4: object 5 must win
 	// with distance ~0.
 	p := trajs[4].At(4)
-	res, err := db.NearestAt(p.X, p.Y, 4, 3)
+	res, err := db.Nearest(context.Background(), p.X, p.Y, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestNearestAtFacade(t *testing.T) {
 		t.Fatal("neighbours must be sorted by distance")
 	}
 	// Instant outside every lifespan.
-	res, err = db.NearestAt(0, 0, 1e9, 2)
+	res, err = db.Nearest(context.Background(), 0, 0, 1e9, 2)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("no-alive instant: %v, %v", res, err)
 	}
@@ -110,7 +111,7 @@ func TestKMostSimilarRelaxedFacade(t *testing.T) {
 	}
 	q := a.Clone()
 	q.ID = 0
-	res, err := db.KMostSimilarRelaxed(&q, 2)
+	res, err := db.Relaxed(context.Background(), &q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,12 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(q Trajectory, want ID) {
 			defer wg.Done()
-			res, _, err := db.KMostSimilar(&q, 0, 10, 1)
+			resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 1, Options: DefaultOptions()})
 			if err != nil {
 				errs <- err
 				return
 			}
+			res := resp.Results
 			if len(res) != 1 || res[0].TrajID != want {
 				errs <- fmt.Errorf("query for %d returned %+v", want, res)
 			}
@@ -201,11 +203,11 @@ func TestEstimateRangeCountTracksActual(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		minX, minY := rng.Float64()*60, rng.Float64()*60
 		t1 := rng.Float64() * 5
-		est, err := db.EstimateRangeCount(minX, minY, minX+40, minY+40, t1, t1+4)
+		est, err := db.EstimateRange(Window{MinX: minX, MinY: minY, MaxX: minX + 40, MaxY: minY + 40}, Interval{T1: t1, T2: t1 + 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, err := db.RangeQuery(minX, minY, minX+40, minY+40, t1, t1+4)
+		hits, err := db.Range(context.Background(), Window{MinX: minX, MinY: minY, MaxX: minX + 40, MaxY: minY + 40}, Interval{T1: t1, T2: t1 + 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +241,7 @@ func TestTopologyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.TopologyQuery(10, 10, 20, 20, 0, 10)
+		res, err := db.Topology(context.Background(), Window{MinX: 10, MinY: 10, MaxX: 20, MaxY: 20}, Interval{T1: 0, T2: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,14 +277,16 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 	db.EnableWarmBuffer()
 	q := trajs[4].Clone()
 	q.ID = 0
-	res1, s1, err := db.KMostSimilar(&q, 2, 6, 2)
+	resp, err := db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 2, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, s2, err := db.KMostSimilar(&q, 2, 6, 2)
+	res1, s1 := resp.Results, resp.Stats
+	resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 2, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res2, s2 := resp.Results, resp.Stats
 	for i := range res1 {
 		if res1[i].TrajID != res2[i].TrajID {
 			t.Fatal("warm buffer changed results")
@@ -300,10 +304,11 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 	}
 	q2 := extra.Clone()
 	q2.ID = 0
-	res3, _, err := db.KMostSimilar(&q2, 0, 10, 1)
+	resp, err = db.Query(context.Background(), Request{Q: &q2, Interval: Interval{T1: 0, T2: 10}, K: 1, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res3 := resp.Results
 	if len(res3) != 1 || res3[0].TrajID != 999 {
 		t.Fatalf("post-mutation query wrong: %+v", res3)
 	}
@@ -313,7 +318,7 @@ func TestWarmBufferCachesAcrossQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _ = db.KMostSimilar(&q, 2, 6, 1)
+			_, _ = db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 2, T2: 6}, K: 1, Options: DefaultOptions()})
 		}()
 	}
 	wg.Wait()
@@ -340,17 +345,19 @@ func TestKMostSimilarAutoScanPath(t *testing.T) {
 	}
 	q := trajs[0].Clone()
 	q.ID = 0
-	auto, _, usedIndex, err := db.KMostSimilarAuto(&q, 0, 10, 6)
+	resp, usedIndex, err := db.QueryAuto(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 6, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auto := resp.Results
 	if usedIndex {
 		t.Log("cost model chose the index even on the dense cluster; still verifying results")
 	}
-	want, _, err := db.KMostSimilar(&q, 0, 10, 6)
+	resp, err = db.Query(context.Background(), Request{Q: &q, Interval: Interval{T1: 0, T2: 10}, K: 6, Options: DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := resp.Results
 	if len(auto) != len(want) {
 		t.Fatalf("auto %d results vs %d", len(auto), len(want))
 	}

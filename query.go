@@ -19,9 +19,8 @@ import (
 // minimum exceeding its maximum.
 var ErrBadWindow = errors.New("mstsearch: malformed window")
 
-// Window is a spatial query extent [MinX, MaxX] × [MinY, MaxY] — the typed
-// replacement for the four positional floats of the legacy range and
-// topology entry points.
+// Window is a spatial query extent [MinX, MaxX] × [MinY, MaxY], as taken
+// by the range, topology and selectivity entry points.
 type Window struct {
 	MinX, MinY, MaxX, MaxY float64
 }
@@ -42,8 +41,8 @@ func (w Window) Validate() error {
 	return nil
 }
 
-// Interval is a closed time period [T1, T2] — the typed replacement for
-// the positional (t1, t2) float pairs of the legacy entry points.
+// Interval is a closed time period [T1, T2], the query period of every
+// entry point.
 type Interval struct {
 	T1, T2 float64
 }
@@ -81,8 +80,7 @@ func (w Window) rect() geom.Rect {
 
 // DefaultOptions returns the recommended search options: exact §4.4
 // post-refinement on, the paper's Lemma 1 trapezoid bound (Refine = 1),
-// both pruning heuristics enabled, no budgets. These are exactly the
-// settings the legacy KMostSimilar entry point always used.
+// both pruning heuristics enabled, no budgets.
 func DefaultOptions() Options {
 	return Options{ExactRefine: true, Refine: 1}
 }
@@ -152,10 +150,10 @@ func wrapTrace(o *Options) *TraceSummary {
 }
 
 // Query is the canonical k-MST entry point: context-first, one Request
-// in, one Response out. It subsumes the legacy KMostSimilar family — a
-// canceled or expired context aborts the search between node visits with
-// an error wrapping ErrCanceled, Options carries every tuning knob, and
-// the Response bundles results, stats, and the optional trace summary.
+// in, one Response out. A canceled or expired context aborts the search
+// between node visits with an error wrapping ErrCanceled, Options carries
+// every tuning knob, and the Response bundles results, stats, and the
+// optional trace summary.
 func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
 	o := req.Options
@@ -245,8 +243,7 @@ func (db *DB) queryAutoLocked(ctx context.Context, req Request, o Options) (Resp
 }
 
 // Range returns every stored segment intersecting the window during the
-// interval — the canonical, context-first form of the legacy RangeQuery
-// pair.
+// interval.
 func (db *DB) Range(ctx context.Context, w Window, iv Interval) ([]SegmentHit, error) {
 	start := time.Now()
 	hits, err := db.rangeLocked(ctx, w, iv)
@@ -279,8 +276,7 @@ func (db *DB) rangeLocked(ctx context.Context, w Window, iv Interval) ([]Segment
 }
 
 // Nearest returns the k moving objects closest to point (x, y) at time
-// instant t — the canonical, context-first form of the legacy NearestAt
-// pair.
+// instant t.
 func (db *DB) Nearest(ctx context.Context, x, y, t float64, k int) ([]Neighbor, error) {
 	start := time.Now()
 	res, err := db.nearestLocked(ctx, x, y, t, k)
@@ -296,7 +292,7 @@ func (db *DB) nearestLocked(ctx context.Context, x, y, t float64, k int) ([]Neig
 		res []index.NNResult
 		err error
 	)
-	view, _ := db.view()
+	view := db.view()
 	if tree, ok := view.(index.Tree); ok {
 		res, err = index.NearestAtContext(ctx, tree, p, t, k)
 	} else {
@@ -359,7 +355,7 @@ func (db *DB) scanNearest(ctx context.Context, p geom.Point, t float64, k int) (
 // through the index for segment-carrying kinds, by store scan for the
 // metric kind. Callers must hold db.mu.
 func (db *DB) segmentsInBox(ctx context.Context, box MBB) ([]index.LeafEntry, error) {
-	view, _ := db.view()
+	view := db.view()
 	if tree, ok := view.(index.Tree); ok {
 		return index.RangeSearchContext(ctx, tree, box)
 	}
@@ -380,8 +376,7 @@ func (db *DB) segmentsInBox(ctx context.Context, box MBB) ([]index.LeafEntry, er
 }
 
 // Topology classifies every stored trajectory that touches the window
-// during the interval by its topological relation (enter/leave/cross/…) —
-// the canonical, context-first form of the legacy TopologyQuery pair.
+// during the interval by its topological relation (enter/leave/cross/…).
 func (db *DB) Topology(ctx context.Context, w Window, iv Interval) ([]TopologyResult, error) {
 	start := time.Now()
 	res, err := db.topologyLocked(ctx, w, iv)
