@@ -1,6 +1,7 @@
 // Command mstbench regenerates the tables and figures of the paper's
-// experimental study (§5). Each experiment prints an aligned text table
-// whose rows correspond to the published plot/table.
+// experimental study (§5) and writes the repository's benchmark reports.
+// Each study experiment prints an aligned text table whose rows
+// correspond to the published plot/table.
 //
 // Usage:
 //
@@ -10,13 +11,22 @@
 // -paper switches to the published scale (273 trucks / 112K segments for
 // the quality study; S0100…S1000 with ~2000 samples per object and 500
 // queries per setting for the performance study).
+//
+// Two more experiments, outside -exp all, write a JSON report (to -json,
+// or stdout) shaped like index-compare's: gobench converts `go test
+// -bench` output read on stdin, and load drives closed-loop k-MST load
+// against a running mstserve, failing on any failed query but a 429 shed.
+//
+//	go test -run '^$' -bench KMostSimilarBatch -benchmem . | mstbench -exp gobench -json results/BENCH.json
+//	mstbench -exp load -addr http://127.0.0.1:8080 -workers 16 -duration 30s
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -29,112 +39,96 @@ import (
 	"mstsearch/internal/shard"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiment is one -exp choice; inAll marks the study experiments
+// -exp all runs.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func() error
+}
+
+// run parses the flags, runs the selected experiments and returns the
+// process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mstbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment: table2, fig8, fig9, q1, q2, q3, ablation, batch, shard, explain, index-compare or all")
-		jsonOut = flag.String("json", "", "write the index-compare report as benchjson-shaped JSON to this path")
-		paper   = flag.Bool("paper", false, "run at the paper's full scale (slow)")
-		scale   = flag.Float64("scale", 0.25, "Trucks dataset scale in (0,1] for fig8/fig9/table2")
-		samples = flag.Int("samples", 501, "samples per synthetic object (paper: 2001)")
-		queries = flag.Int("queries", 50, "queries per performance setting (paper: 500)")
-		qf      = flag.Int("qualityqueries", 40, "queries per fig9 p-value (0 = all trajectories)")
-		seed    = flag.Int64("seed", 2007, "generator seed")
-		verbose = flag.Bool("v", false, "print progress")
-		withSTR = flag.Bool("str", false, "add the STR-tree as a third series in Q1-Q3")
+		exp      = fs.String("exp", "all", "experiment: table2, fig8, fig9, q1, q2, q3, ablation, batch, shard, explain, index-compare, all, gobench or load")
+		jsonOut  = fs.String("json", "", "write the index-compare, gobench or load report as JSON to this path (gobench and load default to stdout)")
+		paper    = fs.Bool("paper", false, "run at the paper's full scale (slow)")
+		scale    = fs.Float64("scale", 0.25, "Trucks dataset scale in (0,1] for fig8/fig9/table2")
+		samples  = fs.Int("samples", 501, "samples per synthetic object (paper: 2001)")
+		queries  = fs.Int("queries", 50, "queries per performance setting (paper: 500)")
+		qf       = fs.Int("qualityqueries", 40, "queries per fig9 p-value (0 = all trajectories)")
+		seed     = fs.Int64("seed", 2007, "generator seed")
+		verbose  = fs.Bool("v", false, "print progress")
+		withSTR  = fs.Bool("str", false, "add the STR-tree as a third series in Q1-Q3")
+		addr     = fs.String("addr", "http://127.0.0.1:8080", "load: mstserve base URL")
+		workers  = fs.Int("workers", 16, "load: concurrent closed-loop workers")
+		duration = fs.Duration("duration", 30*time.Second, "load: load duration")
+		k        = fs.Int("k", 5, "load: k per query")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	card, ablationCard := 50, 100
 	if *paper {
-		*scale = 1
-		*samples = 2001
-		*queries = 500
-		*qf = 0
+		*scale, *samples, *queries, *qf = 1, 2001, 500, 0
+		card, ablationCard = 500, 500
+	}
+	wl, err := newWorkload(card, *samples, *queries, *seed)
+	if err != nil {
+		fmt.Fprintln(stderr, "mstbench:", err)
+		return 1
 	}
 
-	run := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-	progress := func(string) {}
-	if *verbose {
-		progress = func(s string) { fmt.Fprintln(os.Stderr, "# "+s) }
-	}
-
-	any := false
-	if run("table2") {
-		any = true
-		cards := []int{100, 250, 500, 1000}
-		if !*paper {
-			cards = []int{25, 50, 100, 200}
-			fmt.Printf("(scaled: cardinalities %v, %d samples/object — use -paper for S0100..S1000)\n", cards, *samples)
-		}
-		rows, err := experiments.RunTable2(cards, *samples, *scale, *seed)
-		fail(err)
-		experiments.PrintTable2(os.Stdout, rows)
-		fmt.Println()
-	}
-	if run("fig8") {
-		any = true
-		rows := experiments.RunCompression(experiments.QualityConfig{Scale: *scale, Seed: *seed})
-		experiments.PrintCompression(os.Stdout, rows)
-		fmt.Println()
-	}
-	if run("fig9") {
-		any = true
-		rows := experiments.RunQuality(experiments.QualityConfig{
-			Scale:      *scale,
-			NumQueries: *qf,
-			Seed:       *seed,
-		})
-		experiments.PrintQuality(os.Stdout, rows)
-		fmt.Println()
-	}
-	if run("batch") {
-		any = true
-		card, nq := 50, *queries
-		if *paper {
-			card = 500
-		}
-		runBatchExperiment(card, *samples, nq, *seed)
-		fmt.Println()
-	}
-	if run("shard") {
-		any = true
-		card, nq := 50, *queries
-		if *paper {
-			card = 500
-		}
-		runShardExperiment(card, *samples, nq, *seed)
-		fmt.Println()
-	}
-	if run("explain") {
-		any = true
-		card := 50
-		if *paper {
-			card = 500
-		}
-		runExplainExperiment(card, *samples, *queries, *seed)
-		fmt.Println()
-	}
-	if run("index-compare") {
-		any = true
-		card, nq := 50, *queries
-		if *paper {
-			card = 500
-		}
-		runIndexCompareExperiment(card, *samples, nq, *seed, *jsonOut)
-		fmt.Println()
-	}
-	if run("ablation") {
-		any = true
-		card := 100
-		if *paper {
-			card = 500
-		}
-		rows, err := experiments.RunAblation(experiments.PerfConfig{
-			SamplesPerObject: *samples,
-			Seed:             *seed,
-		}, card, *queries, 0.05)
-		fail(err)
-		experiments.PrintAblation(os.Stdout, rows)
-		fmt.Println()
+	exps := []experiment{
+		{"table2", true, func() error {
+			cards := []int{100, 250, 500, 1000}
+			if !*paper {
+				cards = []int{25, 50, 100, 200}
+				fmt.Fprintf(stdout, "(scaled: cardinalities %v, %d samples/object — use -paper for S0100..S1000)\n", cards, *samples)
+			}
+			rows, err := experiments.RunTable2(cards, *samples, *scale, *seed)
+			if err == nil {
+				experiments.PrintTable2(stdout, rows)
+			}
+			return err
+		}},
+		{"fig8", true, func() error {
+			experiments.PrintCompression(stdout, experiments.RunCompression(experiments.QualityConfig{Scale: *scale, Seed: *seed}))
+			return nil
+		}},
+		{"fig9", true, func() error {
+			experiments.PrintQuality(stdout, experiments.RunQuality(experiments.QualityConfig{Scale: *scale, NumQueries: *qf, Seed: *seed}))
+			return nil
+		}},
+		{"batch", true, func() error { return runBatchExperiment(stdout, wl) }},
+		{"shard", true, func() error { return runShardExperiment(stdout, wl) }},
+		{"explain", true, func() error { return runExplainExperiment(stdout, wl) }},
+		{"index-compare", true, func() error { return runIndexCompareExperiment(stdout, wl, *jsonOut) }},
+		{"ablation", true, func() error {
+			rows, err := experiments.RunAblation(experiments.PerfConfig{SamplesPerObject: *samples, Seed: *seed}, ablationCard, *queries, 0.05)
+			if err == nil {
+				experiments.PrintAblation(stdout, rows)
+			}
+			return err
+		}},
+		{"gobench", false, func() error {
+			rep, err := parseGoBench(os.Stdin)
+			if err == nil {
+				err = rep.write(*jsonOut, stdout)
+			}
+			return err
+		}},
+		{"load", false, func() error {
+			return runLoad(*addr, *workers, *duration, *k, *seed, *jsonOut, stdout, stderr)
+		}},
 	}
 	perf := experiments.NewRunner(experiments.PerfConfig{
 		SamplesPerObject: *samples,
@@ -142,83 +136,143 @@ func main() {
 		Seed:             *seed,
 		IncludeSTRTree:   *withSTR,
 	})
-	perf.Progress = progress
+	if *verbose {
+		perf.Progress = func(s string) { fmt.Fprintln(stderr, "# "+s) }
+	}
 	for _, qs := range experiments.PaperQuerySettings() {
-		if !run(qs.Name) {
+		exps = append(exps, experiment{qs.Name, true, func() error {
+			if !*paper && qs.Name == "Q1" {
+				qs.Cardinalities = []int{25, 50, 100, 200}
+				fmt.Fprintf(stdout, "(scaled: cardinalities %v — use -paper for S0100..S1000)\n", qs.Cardinalities)
+			}
+			if !*paper && (qs.Name == "Q2" || qs.Name == "Q3") {
+				qs.Cardinalities = []int{100}
+			}
+			rows, err := perf.Run(qs)
+			if err == nil {
+				experiments.PrintPerf(stdout, qs.Name, rows)
+			}
+			return err
+		}})
+	}
+
+	ran := false
+	for _, e := range exps {
+		if !strings.EqualFold(*exp, e.name) && !(*exp == "all" && e.inAll) {
 			continue
 		}
-		any = true
-		if !*paper && qs.Name == "Q1" {
-			qs.Cardinalities = []int{25, 50, 100, 200}
-			fmt.Printf("(scaled: cardinalities %v — use -paper for S0100..S1000)\n", qs.Cardinalities)
+		ran = true
+		if err := e.run(); err != nil {
+			fmt.Fprintln(stderr, "mstbench:", err)
+			return 1
 		}
-		if !*paper && (qs.Name == "Q2" || qs.Name == "Q3") {
-			qs.Cardinalities = []int{100}
+		if e.inAll {
+			fmt.Fprintln(stdout)
 		}
-		rows, err := perf.Run(qs)
-		fail(err)
-		experiments.PrintPerf(os.Stdout, qs.Name, rows)
-		fmt.Println()
 	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	if !ran {
+		fmt.Fprintf(stderr, "mstbench: unknown experiment %q\n", *exp)
+		fs.Usage()
+		return 2
 	}
+	return 0
+}
+
+// workload is the GSTD fleet and the Fig. 10 Q1-shaped query windows the
+// facade-driven experiments (batch, shard, explain, index-compare) share.
+type workload struct {
+	trajs         []mstsearch.Trajectory
+	card, samples int
+	windows       []mstsearch.Request
+}
+
+// newWorkload generates the fleet and draws n query windows, each a 5%
+// slice of a random fleet trajectory, anonymized. The draw order —
+// source (rng.Intn), then start (rng.Float64), then the slice — fixes
+// every printed column.
+func newWorkload(card, samples, n int, seed int64) (*workload, error) {
+	wl := &workload{trajs: experiments.SyntheticDataset(card, samples, seed).Trajs, card: card, samples: samples}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		src := &wl.trajs[rng.Intn(len(wl.trajs))]
+		t1 := rng.Float64() * 0.9
+		t2 := t1 + 0.05
+		sl, ok := src.Slice(t1, t2)
+		if !ok {
+			return nil, fmt.Errorf("query window [%g, %g] outside dataset span", t1, t2)
+		}
+		q := sl.Clone()
+		q.ID = 0
+		wl.windows = append(wl.windows, mstsearch.Request{Q: &q, Interval: mstsearch.Interval{T1: t1, T2: t2}})
+	}
+	return wl, nil
+}
+
+// requests returns the windows as requests for the k most similar
+// trajectories under opts.
+func (wl *workload) requests(k int, opts mstsearch.Options) []mstsearch.Request {
+	reqs := make([]mstsearch.Request, len(wl.windows))
+	for i, r := range wl.windows {
+		r.K, r.Options = k, opts
+		reqs[i] = r
+	}
+	return reqs
+}
+
+// describe names the workload in an experiment's header line.
+func (wl *workload) describe(k int) string {
+	return fmt.Sprintf("S%04d, %d samples/object, %d queries (5%% windows, k=%d)", wl.card, wl.samples, len(wl.windows), k)
 }
 
 // runBatchExperiment measures KMostSimilarBatch throughput across worker
 // counts on a Fig. 10 Q1-shaped workload (5% windows, k = 1) with the warm
 // shared buffer enabled. It lives here rather than internal/experiments
 // because it drives the public facade (the experiments package sits below
-// it in the import graph). Speedup is relative to the one-worker leg; on a
+// it in the import graph), as do the shard, explain and index-compare
+// experiments. Speedup is relative to the one-worker leg; on a
 // single-CPU machine expect ~1.0× across the board.
-func runBatchExperiment(card, samples, nq int, seed int64) {
-	data := experiments.SyntheticDataset(card, samples, seed)
-	db, err := mstsearch.NewDB(mstsearch.RTree3D, data.Trajs)
-	fail(err)
+func runBatchExperiment(w io.Writer, wl *workload) error {
+	db, err := mstsearch.NewDB(mstsearch.RTree3D, wl.trajs)
+	if err != nil {
+		return err
+	}
 	db.EnableWarmBuffer()
-
-	rng := rand.New(rand.NewSource(seed))
-	queries := make([]mstsearch.BatchQuery, nq)
-	held := make([]mstsearch.Trajectory, nq)
-	for i := range queries {
-		src := &data.Trajs[rng.Intn(len(data.Trajs))]
-		t1 := rng.Float64() * 0.9
-		t2 := t1 + 0.05
-		sl, ok := src.Slice(t1, t2)
-		if !ok {
-			fail(fmt.Errorf("batch: query window [%g, %g] outside dataset span", t1, t2))
-		}
-		held[i] = sl.Clone()
-		held[i].ID = 0
-		queries[i] = mstsearch.BatchQuery{Q: &held[i], T1: t1, T2: t2, K: 1}
+	queries := make([]mstsearch.BatchQuery, len(wl.windows))
+	for i, r := range wl.windows {
+		queries[i] = mstsearch.BatchQuery{Q: r.Q, T1: r.Interval.T1, T2: r.Interval.T2, K: 1}
 	}
-
 	opts := mstsearch.Options{ExactRefine: true, Refine: 1}
+	batch := func(o mstsearch.Options) error {
+		for _, br := range db.KMostSimilarBatch(context.Background(), queries, o) {
+			if br.Err != nil {
+				return br.Err
+			}
+		}
+		return nil
+	}
 	// Untimed warmup so every leg sees the same buffer state.
-	for _, br := range db.KMostSimilarBatch(context.Background(), queries, opts) {
-		fail(br.Err)
+	if err := batch(opts); err != nil {
+		return err
 	}
 
-	fmt.Printf("Batch k-MST executor: S%04d, %d samples/object, %d queries (5%% windows, k=1), GOMAXPROCS=%d\n",
-		card, samples, nq, runtime.GOMAXPROCS(0))
-	fmt.Println("workers   total(ms)   queries/s   speedup")
+	fmt.Fprintf(w, "Batch k-MST executor: %s, GOMAXPROCS=%d\n", wl.describe(1), runtime.GOMAXPROCS(0))
+	fmt.Fprintln(w, "workers   total(ms)   queries/s   speedup")
 	var base float64
 	for _, par := range []int{1, 2, 4, 8} {
 		o := opts
 		o.Parallelism = par
 		start := time.Now()
-		for _, br := range db.KMostSimilarBatch(context.Background(), queries, o) {
-			fail(br.Err)
+		if err := batch(o); err != nil {
+			return err
 		}
 		elapsed := time.Since(start)
-		qps := float64(nq) / elapsed.Seconds()
+		qps := float64(len(queries)) / elapsed.Seconds()
 		if par == 1 {
 			base = qps
 		}
-		fmt.Printf("%7d %11.2f %11.0f %8.2fx\n", par, float64(elapsed.Microseconds())/1000, qps, qps/base)
+		fmt.Fprintf(w, "%7d %11.2f %11.0f %8.2fx\n", par, float64(elapsed.Microseconds())/1000, qps, qps/base)
 	}
+	return nil
 }
 
 // runShardExperiment measures scatter-gather k-MST across shard counts
@@ -227,130 +281,77 @@ func runBatchExperiment(card, samples, nq int, seed int64) {
 // how many shards each query actually searched and how many were pruned
 // on their root lower bound without being touched. Spatial placement
 // co-locates nearby trajectories, so localized queries prune most of the
-// cluster; hash placement spreads them, so the fanout stays wide. Like
-// the batch experiment it drives the public facade and lives here rather
-// than in internal/experiments.
-func runShardExperiment(card, samples, nq int, seed int64) {
-	data := experiments.SyntheticDataset(card, samples, seed)
-	rng := rand.New(rand.NewSource(seed))
-	type workItem struct {
-		q      mstsearch.Trajectory
-		t1, t2 float64
-	}
-	work := make([]workItem, nq)
-	for i := range work {
-		src := &data.Trajs[rng.Intn(len(data.Trajs))]
-		t1 := rng.Float64() * 0.9
-		t2 := t1 + 0.05
-		sl, ok := src.Slice(t1, t2)
-		if !ok {
-			fail(fmt.Errorf("shard: query window [%g, %g] outside dataset span", t1, t2))
-		}
-		work[i].q = sl.Clone()
-		work[i].q.ID = 0
-		work[i].t1, work[i].t2 = t1, t2
-	}
-
-	fmt.Printf("Sharded k-MST scatter-gather: S%04d, %d samples/object, %d queries (5%% windows, k=1), GOMAXPROCS=%d\n",
-		card, samples, nq, runtime.GOMAXPROCS(0))
-	fmt.Println("shards   placement   total(ms)   queries/s   avg fanout   avg pruned")
+// cluster; hash placement spreads them, so the fanout stays wide.
+func runShardExperiment(w io.Writer, wl *workload) error {
+	reqs := wl.requests(1, mstsearch.Options{ExactRefine: true, Refine: 1})
+	nq := float64(len(reqs))
+	fmt.Fprintf(w, "Sharded k-MST scatter-gather: %s, GOMAXPROCS=%d\n", wl.describe(1), runtime.GOMAXPROCS(0))
+	fmt.Fprintln(w, "shards   placement   total(ms)   queries/s   avg fanout   avg pruned")
 	for _, n := range []int{1, 2, 4, 8} {
-		for _, placeName := range []string{"hash", "spatial"} {
-			place, err := shard.PlacementByName(placeName)
-			fail(err)
+		for _, place := range []shard.Placement{shard.HashPlacement{}, shard.SpatialPlacement{}} {
 			c, err := shard.New(mstsearch.RTree3D, n, place, shard.Options{})
-			fail(err)
-			for i := range data.Trajs {
-				fail(c.Add(data.Trajs[i]))
+			if err != nil {
+				return err
+			}
+			for i := range wl.trajs {
+				if err := c.Add(wl.trajs[i]); err != nil {
+					return err
+				}
 			}
 			c.EnableWarmBuffer()
-			opts := mstsearch.Options{ExactRefine: true, Refine: 1}
 			// Untimed warmup so every leg measures the same buffer state.
-			for _, w := range work {
-				if _, err := c.Query(context.Background(), mstsearch.Request{
-					Q: &w.q, Interval: mstsearch.Interval{T1: w.t1, T2: w.t2}, K: 1, Options: opts,
-				}); err != nil {
-					fail(err)
+			for _, r := range reqs {
+				if _, err := c.Query(context.Background(), r); err != nil {
+					return err
 				}
 			}
 			var fanout, pruned int
 			start := time.Now()
-			for _, w := range work {
-				_, qs, err := c.QueryShards(context.Background(), mstsearch.Request{
-					Q: &w.q, Interval: mstsearch.Interval{T1: w.t1, T2: w.t2}, K: 1, Options: opts,
-				})
-				fail(err)
+			for _, r := range reqs {
+				_, qs, err := c.QueryShards(context.Background(), r)
+				if err != nil {
+					return err
+				}
 				fanout += qs.Fanout
 				pruned += qs.Pruned
 			}
 			elapsed := time.Since(start)
-			fmt.Printf("%6d %11s %11.2f %11.0f %12.2f %12.2f\n",
-				n, placeName, float64(elapsed.Microseconds())/1000,
-				float64(nq)/elapsed.Seconds(),
-				float64(fanout)/float64(nq), float64(pruned)/float64(nq))
+			fmt.Fprintf(w, "%6d %11s %11.2f %11.0f %12.2f %12.2f\n",
+				n, place.Name(), float64(elapsed.Microseconds())/1000,
+				nq/elapsed.Seconds(), float64(fanout)/nq, float64(pruned)/nq)
 		}
 	}
+	return nil
 }
 
 // runExplainExperiment validates the selectivity cost model against the
 // observability layer on a GSTD fleet: each query runs under DB.Explain
 // and the table compares the model's predicted leaf I/O with the leaf
 // pages the traced search actually touched. The last query's full EXPLAIN
-// transcript follows the table. Like the batch experiment it drives the
-// public facade, so it lives here rather than in internal/experiments.
-func runExplainExperiment(card, samples, nq int, seed int64) {
-	data := experiments.SyntheticDataset(card, samples, seed)
-	db, err := mstsearch.NewDB(mstsearch.RTree3D, data.Trajs)
-	fail(err)
+// transcript follows the table.
+func runExplainExperiment(w io.Writer, wl *workload) error {
+	db, err := mstsearch.NewDB(mstsearch.RTree3D, wl.trajs)
+	if err != nil {
+		return err
+	}
 	db.EnableWarmBuffer()
-
-	fmt.Printf("EXPLAIN vs. cost model: GSTD S%04d, %d samples/object, %d queries (5%% windows, k=5)\n",
-		card, samples, nq)
-	fmt.Println("query   predLeaf   actLeaf   nodes   pruned%   events   latency")
-	rng := rand.New(rand.NewSource(seed))
+	fmt.Fprintf(w, "EXPLAIN vs. cost model: GSTD %s\n", wl.describe(5))
+	fmt.Fprintln(w, "query   predLeaf   actLeaf   nodes   pruned%   events   latency")
 	var last *mstsearch.ExplainReport
-	for i := 0; i < nq; i++ {
-		src := &data.Trajs[rng.Intn(len(data.Trajs))]
-		t1 := rng.Float64() * 0.9
-		t2 := t1 + 0.05
-		sl, ok := src.Slice(t1, t2)
-		if !ok {
-			fail(fmt.Errorf("explain: query window [%g, %g] outside dataset span", t1, t2))
+	for i, r := range wl.requests(5, mstsearch.DefaultOptions()) {
+		rep, err := db.Explain(context.Background(), r)
+		if err != nil {
+			return err
 		}
-		q := sl.Clone()
-		q.ID = 0
-		rep, err := db.Explain(context.Background(), mstsearch.Request{
-			Q:        &q,
-			Interval: mstsearch.Interval{T1: t1, T2: t2},
-			K:        5,
-			Options:  mstsearch.DefaultOptions(),
-		})
-		fail(err)
-		fmt.Printf("%5d %10.1f %9d %7d %8.1f %8d %9s\n",
+		fmt.Fprintf(w, "%5d %10.1f %9d %7d %8.1f %8d %9s\n",
 			i+1, rep.Estimate.ExpectedLeafPages, rep.Stats.LeavesAccessed,
 			rep.Stats.NodesAccessed, rep.Stats.PruningPower*100,
 			rep.Trace.Events, rep.Duration.Round(time.Microsecond))
 		last = rep
 	}
-	fmt.Println("\nlast query's transcript:")
-	fmt.Print(last)
-}
-
-// benchResult and benchReport mirror cmd/benchjson's document shape so
-// the index-compare report diffs cleanly against `go test -bench` runs
-// converted by that tool.
-type benchResult struct {
-	Name       string             `json:"name"`
-	Package    string             `json:"package,omitempty"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op,omitempty"`
-	Extra      map[string]float64 `json:"extra,omitempty"`
-}
-
-type benchReport struct {
-	GOOS    string        `json:"goos,omitempty"`
-	GOARCH  string        `json:"goarch,omitempty"`
-	Results []benchResult `json:"results"`
+	fmt.Fprintln(w, "\nlast query's transcript:")
+	fmt.Fprint(w, last)
+	return nil
 }
 
 // runIndexCompareExperiment races every registered index kind on the same
@@ -360,69 +361,51 @@ type benchReport struct {
 // priced against a brute-force linear scan and the answers are checked
 // against it. Per-kind node accesses, pruning power, and page I/O come
 // from the engine's own SearchStats. With jsonPath set, the table is also
-// written as a benchjson-shaped document (results/BENCH_PR9.json in CI).
-func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath string) {
-	data := experiments.SyntheticDataset(card, samples, seed)
-	rng := rand.New(rand.NewSource(seed))
-	type workItem struct {
-		q      mstsearch.Trajectory
-		t1, t2 float64
-	}
-	work := make([]workItem, nq)
-	for i := range work {
-		src := &data.Trajs[rng.Intn(len(data.Trajs))]
-		t1 := rng.Float64() * 0.9
-		t2 := t1 + 0.05
-		sl, ok := src.Slice(t1, t2)
-		if !ok {
-			fail(fmt.Errorf("index-compare: query window [%g, %g] outside dataset span", t1, t2))
-		}
-		work[i].q = sl.Clone()
-		work[i].q.ID = 0
-		work[i].t1, work[i].t2 = t1, t2
-	}
-	rep := &benchReport{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
+// written as a JSON report (results/BENCH_PR9.json in CI).
+func runIndexCompareExperiment(w io.Writer, wl *workload, jsonPath string) error {
+	reqs := wl.requests(5, mstsearch.Options{ExactRefine: true, Refine: 1})
+	nq, fq, card := len(reqs), float64(len(reqs)), wl.card
+	rep := &report{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	slug := func(kind mstsearch.IndexKind) string {
 		return strings.ReplaceAll(kind.String(), " ", "_")
 	}
 
-	fmt.Printf("Index head-to-head: S%04d, %d samples/object, %d queries (5%% windows, k=5)\n", card, samples, nq)
-	fmt.Println("k-MST (DISSIM) leg:")
-	fmt.Println("kind          total(ms)   queries/s    nodes/q   pruned%    leaf/q   reads/q")
-	opts := mstsearch.Options{ExactRefine: true, Refine: 1}
+	fmt.Fprintf(w, "Index head-to-head: %s\n", wl.describe(5))
+	fmt.Fprintln(w, "k-MST (DISSIM) leg:")
+	fmt.Fprintln(w, "kind          total(ms)   queries/s    nodes/q   pruned%    leaf/q   reads/q")
 	dbs := make(map[mstsearch.IndexKind]*mstsearch.DB)
 	for _, kind := range mstsearch.IndexKinds() {
-		db, err := mstsearch.NewDB(kind, data.Trajs)
-		fail(err)
+		db, err := mstsearch.NewDB(kind, wl.trajs)
+		if err != nil {
+			return err
+		}
 		db.EnableWarmBuffer()
 		dbs[kind] = db
 		// Untimed warmup so every kind measures the same buffer state.
-		for _, w := range work {
-			_, err := db.Query(context.Background(), mstsearch.Request{
-				Q: &w.q, Interval: mstsearch.Interval{T1: w.t1, T2: w.t2}, K: 5, Options: opts,
-			})
-			fail(err)
+		for _, r := range reqs {
+			if _, err := db.Query(context.Background(), r); err != nil {
+				return err
+			}
 		}
 		var nodes, leaves int
 		var reads uint64
 		var pruned float64
 		start := time.Now()
-		for _, w := range work {
-			resp, err := db.Query(context.Background(), mstsearch.Request{
-				Q: &w.q, Interval: mstsearch.Interval{T1: w.t1, T2: w.t2}, K: 5, Options: opts,
-			})
-			fail(err)
+		for _, r := range reqs {
+			resp, err := db.Query(context.Background(), r)
+			if err != nil {
+				return err
+			}
 			nodes += resp.Stats.NodesAccessed
 			leaves += resp.Stats.LeavesAccessed
 			reads += resp.Stats.PageReads
 			pruned += resp.Stats.PruningPower
 		}
 		elapsed := time.Since(start)
-		fq := float64(nq)
-		fmt.Printf("%-12s %10.2f %11.0f %10.1f %9.1f %9.1f %9.1f\n",
+		fmt.Fprintf(w, "%-12s %10.2f %11.0f %10.1f %9.1f %9.1f %9.1f\n",
 			kind, float64(elapsed.Microseconds())/1000, fq/elapsed.Seconds(),
 			float64(nodes)/fq, pruned/fq*100, float64(leaves)/fq, float64(reads)/fq)
-		rep.Results = append(rep.Results, benchResult{
+		rep.Results = append(rep.Results, result{
 			Name: "IndexCompare/kMST/kind=" + slug(kind), Package: "mstsearch",
 			Iterations: int64(nq), NsPerOp: float64(elapsed.Nanoseconds()) / fq,
 			Extra: map[string]float64{
@@ -433,8 +416,11 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 		})
 	}
 
-	fmt.Println("\nexact DTW kNN leg (k=5, same windows):")
-	fmt.Println("kind          total(ms)   queries/s    nodes/q   evals/q   matches-linear")
+	fmt.Fprintln(w, "\nexact DTW kNN leg (k=5, same windows):")
+	fmt.Fprintln(w, "kind          total(ms)   queries/s    nodes/q   evals/q   matches-linear")
+	for i := range reqs {
+		reqs[i].Metric = mstsearch.MetricDTW
+	}
 	// Brute-force baseline: every query evaluates DTW against every stored
 	// trajectory. Its answers are the ground truth the index leg must hit.
 	type ranked struct {
@@ -443,14 +429,14 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 	}
 	truth := make([][]ranked, nq)
 	linStart := time.Now()
-	for i, w := range work {
+	for i, r := range reqs {
 		var all []ranked
-		for j := range data.Trajs {
-			d, ok := mstsearch.MetricDistance(mstsearch.MetricDTW, 0, &w.q, &data.Trajs[j], w.t1, w.t2)
+		for j := range wl.trajs {
+			d, ok := mstsearch.MetricDistance(mstsearch.MetricDTW, 0, r.Q, &wl.trajs[j], r.Interval.T1, r.Interval.T2)
 			if !ok {
 				continue
 			}
-			all = append(all, ranked{data.Trajs[j].ID, d})
+			all = append(all, ranked{wl.trajs[j].ID, d})
 		}
 		sort.Slice(all, func(a, b int) bool {
 			if all[a].d != all[b].d {
@@ -464,58 +450,52 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 		truth[i] = all
 	}
 	linElapsed := time.Since(linStart)
-	fmt.Printf("%-12s %10.2f %11.0f %10s %9.1f %16s\n",
+	fmt.Fprintf(w, "%-12s %10.2f %11.0f %10s %9.1f %16s\n",
 		"linear scan", float64(linElapsed.Microseconds())/1000,
-		float64(nq)/linElapsed.Seconds(), "-", float64(card), "(baseline)")
-	rep.Results = append(rep.Results, benchResult{
+		fq/linElapsed.Seconds(), "-", float64(card), "(baseline)")
+	rep.Results = append(rep.Results, result{
 		Name: "IndexCompare/exactDTW/kind=linear_scan", Package: "mstsearch",
-		Iterations: int64(nq), NsPerOp: float64(linElapsed.Nanoseconds()) / float64(nq),
-		Extra:      map[string]float64{"evals/q": float64(card), "queries/s": float64(nq) / linElapsed.Seconds()},
+		Iterations: int64(nq), NsPerOp: float64(linElapsed.Nanoseconds()) / fq,
+		Extra: map[string]float64{"evals/q": float64(card), "queries/s": fq / linElapsed.Seconds()},
 	})
 	for _, kind := range mstsearch.IndexKinds() {
 		db := dbs[kind]
 		if !kind.Metric() {
-			_, err := db.Query(context.Background(), mstsearch.Request{
-				Q: &work[0].q, Interval: mstsearch.Interval{T1: work[0].t1, T2: work[0].t2},
-				K: 5, Metric: mstsearch.MetricDTW, Options: opts,
-			})
-			if err == nil {
-				fail(fmt.Errorf("index-compare: %s accepted a DTW query; expected rejection", kind))
+			if _, err := db.Query(context.Background(), reqs[0]); err == nil {
+				return fmt.Errorf("index-compare: %s accepted a DTW query; expected rejection", kind)
 			}
-			fmt.Printf("%-12s %10s %11s %10s %9s   unsupported (MBB cannot bound DTW)\n", kind, "-", "-", "-", "-")
+			fmt.Fprintf(w, "%-12s %10s %11s %10s %9s   unsupported (MBB cannot bound DTW)\n", kind, "-", "-", "-", "-")
 			continue
 		}
 		var nodes, evals, mismatches int
 		start := time.Now()
-		for i, w := range work {
-			resp, err := db.Query(context.Background(), mstsearch.Request{
-				Q: &w.q, Interval: mstsearch.Interval{T1: w.t1, T2: w.t2},
-				K: 5, Metric: mstsearch.MetricDTW, Options: opts,
-			})
-			fail(err)
+		for i, r := range reqs {
+			resp, err := db.Query(context.Background(), r)
+			if err != nil {
+				return err
+			}
 			nodes += resp.Stats.NodesAccessed
 			evals += resp.Stats.ExactRefined
 			if len(resp.Results) != len(truth[i]) {
 				mismatches++
 				continue
 			}
-			for j, r := range resp.Results {
-				if r.TrajID != truth[i][j].id || r.Dissim != truth[i][j].d {
+			for j, res := range resp.Results {
+				if res.TrajID != truth[i][j].id || res.Dissim != truth[i][j].d {
 					mismatches++
 					break
 				}
 			}
 		}
 		elapsed := time.Since(start)
-		fq := float64(nq)
 		match := "yes"
 		if mismatches > 0 {
 			match = fmt.Sprintf("NO (%d/%d)", mismatches, nq)
 		}
-		fmt.Printf("%-12s %10.2f %11.0f %10.1f %9.1f %16s\n",
+		fmt.Fprintf(w, "%-12s %10.2f %11.0f %10.1f %9.1f %16s\n",
 			kind, float64(elapsed.Microseconds())/1000, fq/elapsed.Seconds(),
 			float64(nodes)/fq, float64(evals)/fq, match)
-		rep.Results = append(rep.Results, benchResult{
+		rep.Results = append(rep.Results, result{
 			Name: "IndexCompare/exactDTW/kind=" + slug(kind), Package: "mstsearch",
 			Iterations: int64(nq), NsPerOp: float64(elapsed.Nanoseconds()) / fq,
 			Extra: map[string]float64{
@@ -524,21 +504,16 @@ func runIndexCompareExperiment(card, samples, nq int, seed int64, jsonPath strin
 			},
 		})
 		if mismatches > 0 {
-			fail(fmt.Errorf("index-compare: %s exact DTW kNN diverged from the linear scan on %d/%d queries", kind, mismatches, nq))
+			return fmt.Errorf("index-compare: %s exact DTW kNN diverged from the linear scan on %d/%d queries", kind, mismatches, nq)
 		}
 	}
 
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		fail(err)
-		fail(os.WriteFile(jsonPath, append(buf, '\n'), 0o644))
-		fmt.Printf("\nwrote %s (%d results)\n", jsonPath, len(rep.Results))
+	if jsonPath == "" {
+		return nil
 	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mstbench:", err)
-		os.Exit(1)
+	if err := rep.write(jsonPath, w); err != nil {
+		return err
 	}
+	fmt.Fprintf(w, "\nwrote %s (%d results)\n", jsonPath, len(rep.Results))
+	return nil
 }

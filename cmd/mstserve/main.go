@@ -8,22 +8,16 @@
 //
 //	mstserve -dir store/ -addr :8080
 //	mstserve -synthetic 200 -addr :8080          # in-memory demo fleet
-//	mstserve -dir cluster/ -shards 4 -addr :8080 # sharded store (mststore cluster-init)
+//	mstserve -dir cluster/ -addr :8080           # sharded store (mststore cluster-init)
 //
-// With -shards > 0 the directory (or synthetic fleet) is served as a
-// horizontally sharded cluster: queries scatter-gather across the shards
-// behind the same admission ladder, and /v1/query answers are identical
-// to a single-node store holding the same data.
+// A directory holding a cluster manifest, or any directory or synthetic
+// fleet with -shards > 0, is served as a horizontally sharded cluster:
+// queries scatter-gather across the shards behind the same admission
+// ladder, and /v1/query answers are identical to a single-node store
+// holding the same data.
 //
-// Flags tune the overload posture:
-//
-//	-max-concurrent N    global in-flight query cap (default 2×GOMAXPROCS)
-//	-queue N             bounded wait queue depth
-//	-queue-wait D        max time a request may queue before shedding
-//	-tenant-rps R        per-tenant token-bucket rate (0 = off)
-//	-deadline D          default per-request deadline
-//	-max-nodes N         per-query node-access budget (0 = unlimited)
-//	-max-ioreads N       per-query physical-read budget (0 = unlimited)
+// -max-concurrent, -queue, -queue-wait, -tenant-rps, -deadline,
+// -max-nodes and -max-ioreads tune the overload posture (see -help).
 //
 // A SIGINT/SIGTERM drains in-flight requests and closes the store.
 package main
@@ -43,15 +37,6 @@ import (
 	"mstsearch/internal/server"
 	"mstsearch/internal/shard"
 )
-
-// store is what mstserve serves: the server's Engine plus the lifecycle
-// methods main drives directly. Satisfied by *mstsearch.DB and
-// *shard.Cluster.
-type store interface {
-	server.Engine
-	EnableWarmBuffer()
-	Close() error
-}
 
 func main() {
 	var (
@@ -83,12 +68,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mstserve:", err)
 		os.Exit(2)
 	}
-	ropts := shard.Options{
-		Replicas:       *replicas,
-		WriteConcern:   concern,
-		HedgeAfter:     *hedgeAfter,
-		RepairInterval: *repairIvl,
-	}
+	ropts := shard.Options{Replicas: *replicas, WriteConcern: concern, HedgeAfter: *hedgeAfter, RepairInterval: *repairIvl}
 	db, err := openStore(*dir, *tree, *synthetic, *seed, *shards, *placement, ropts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mstserve:", err)
@@ -140,96 +120,36 @@ func main() {
 	<-done
 }
 
-// openStore opens the durable store (or builds an in-memory synthetic
-// fleet when -synthetic is set), as a single DB or — with -shards > 0 —
-// as a sharded cluster.
-func openStore(dir, tree string, synthetic int, seed int64, shards int, placement string, ropts shard.Options) (store, error) {
-	if shards > 0 {
-		return openCluster(dir, tree, synthetic, seed, shards, placement, ropts)
+// openStore builds an in-memory synthetic fleet when -synthetic is set —
+// as a cluster when -shards > 0 — and otherwise opens the directory:
+// a store, or a cluster when it holds a manifest or -shards > 0.
+func openStore(dir, tree string, synthetic int, seed int64, shards int, placement string, ropts shard.Options) (shard.Store, error) {
+	kind, err := mstsearch.ParseIndexKind(tree)
+	if err != nil {
+		return nil, err
 	}
-	if dir != "" && synthetic == 0 {
-		if _, _, _, _, err := shard.ReadManifest(dir); err == nil {
-			// The directory is a cluster: serve it as one even without
-			// -shards, rather than opening an empty single store beside
-			// the shard directories.
-			return openCluster(dir, tree, 0, seed, 0, placement, ropts)
-		}
-	}
-	return openDB(dir, tree, synthetic, seed)
-}
-
-// openCluster opens (or synthesizes) a sharded store. An existing cluster
-// directory's manifest wins over the flags — including the replica count —
-// so reopening never needs the init-time parameters repeated exactly.
-func openCluster(dir, tree string, synthetic int, seed int64, shards int, placement string, ropts shard.Options) (*shard.Cluster, error) {
 	place, err := shard.PlacementByName(placement)
 	if err != nil {
 		return nil, err
 	}
-	if synthetic > 0 {
-		c, err := shard.New(parseKind(tree), shards, place, ropts)
-		if err != nil {
-			return nil, err
+	if synthetic == 0 {
+		if dir == "" {
+			return nil, fmt.Errorf("need -dir or -synthetic")
 		}
-		data := gstd.Generate(gstd.Config{
-			NumObjects: synthetic, SamplesPerObject: 64, Seed: seed,
-		})
-		for i := range data.Trajs {
-			if err := c.Add(data.Trajs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
+		return shard.OpenDir(dir, kind, shards, place, ropts)
 	}
-	if dir == "" {
-		return nil, fmt.Errorf("need -dir or -synthetic")
+	data := gstd.Generate(gstd.Config{NumObjects: synthetic, SamplesPerObject: 64, Seed: seed})
+	if shards == 0 {
+		return mstsearch.NewDB(kind, data.Trajs)
 	}
-	if kind, n, placeName, reps, err := shard.ReadManifest(dir); err == nil {
-		// Serve what the directory holds rather than demanding the
-		// operator remember cluster-init's flags.
-		if place, err = shard.PlacementByName(placeName); err != nil {
-			return nil, err
-		}
-		ropts.Replicas = reps
-		return shard.Open(dir, kind, n, place, ropts)
-	}
-	return shard.Open(dir, parseKind(tree), shards, place, ropts)
-}
-
-// openDB opens the durable store, or builds an in-memory synthetic fleet
-// when -synthetic is set.
-func openDB(dir, tree string, synthetic int, seed int64) (*mstsearch.DB, error) {
-	if synthetic > 0 {
-		data := gstd.Generate(gstd.Config{
-			NumObjects: synthetic, SamplesPerObject: 64, Seed: seed,
-		})
-		return mstsearch.NewDB(parseKind(tree), data.Trajs)
-	}
-	if dir == "" {
-		return nil, fmt.Errorf("need -dir or -synthetic")
-	}
-	kind := parseKind(tree)
-	db, err := mstsearch.OpenDurable(dir, kind, mstsearch.DurableOptions{})
-	if errors.Is(err, mstsearch.ErrSnapshotKind) {
-		// The directory is pinned to another index kind; serve what it
-		// holds rather than demanding the operator remember the flag.
-		for _, k := range mstsearch.IndexKinds() {
-			if k == kind {
-				continue
-			}
-			if db, err = mstsearch.OpenDurable(dir, k, mstsearch.DurableOptions{}); err == nil {
-				break
-			}
-		}
-	}
-	return db, err
-}
-
-func parseKind(tree string) mstsearch.IndexKind {
-	kind, err := mstsearch.ParseIndexKind(tree)
+	c, err := shard.New(kind, shards, place, ropts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mstserve: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
-	return kind
+	for i := range data.Trajs {
+		if err := c.Add(data.Trajs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }

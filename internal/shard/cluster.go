@@ -320,7 +320,7 @@ func (c *Cluster) Shard(i int) *mstsearch.DB {
 func (c *Cluster) Replica(i, r int) *mstsearch.DB { return c.sets[i].db(r) }
 
 // ReplicaStatuses reports every replica's health, shard-major — the
-// /healthz and `mststore cluster-info` surface.
+// /healthz and `mststore info` surface.
 func (c *Cluster) ReplicaStatuses() []mstsearch.ReplicaStatus {
 	var out []mstsearch.ReplicaStatus
 	for _, rs := range c.sets {

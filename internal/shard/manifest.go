@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,7 +81,7 @@ func checkManifest(dir string, kind mstsearch.IndexKind, n int, placement string
 }
 
 // ReadManifest reports the partitioning a durable cluster directory was
-// created with — the `mststore cluster-info` surface. replicas is always
+// created with — the `mststore info` surface. replicas is always
 // >= 1 (pre-replication manifests read as 1).
 func ReadManifest(dir string) (kind mstsearch.IndexKind, n int, placement string, replicas int, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -118,4 +119,71 @@ func StoreDirs(dir string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// Store is what OpenDir returns: a durable *mstsearch.DB or a durable
+// *Cluster. Its method set is the serving layer's engine surface plus the
+// lifecycle calls the commands drive directly.
+type Store interface {
+	Query(ctx context.Context, req mstsearch.Request) (mstsearch.Response, error)
+	KMostSimilarBatch(ctx context.Context, queries []mstsearch.BatchQuery, opts mstsearch.Options) []mstsearch.BatchResult
+	Range(ctx context.Context, w mstsearch.Window, iv mstsearch.Interval) ([]mstsearch.SegmentHit, error)
+	Nearest(ctx context.Context, x, y, t float64, k int) ([]mstsearch.Neighbor, error)
+	Topology(ctx context.Context, w mstsearch.Window, iv mstsearch.Interval) ([]mstsearch.TopologyResult, error)
+	Explain(ctx context.Context, req mstsearch.Request) (*mstsearch.ExplainReport, error)
+	Add(tr mstsearch.Trajectory) error
+	AppendSample(id mstsearch.ID, s mstsearch.Sample) error
+	Get(id mstsearch.ID) *mstsearch.Trajectory
+	Kind() mstsearch.IndexKind
+	Len() int
+	NumSegments() int
+	CheckpointContext(ctx context.Context) error
+	EnableWarmBuffer()
+	Close() error
+}
+
+var (
+	_ Store = (*mstsearch.DB)(nil)
+	_ Store = (*Cluster)(nil)
+)
+
+// OpenDir opens the durable store in dir, creating it when absent. A
+// directory holding a cluster manifest opens as that cluster, with the
+// manifest's kind, shard count, placement and replica count winning over
+// the arguments, so a reopen never needs the init-time parameters
+// repeated. Otherwise n > 0 creates a cluster of n shards under place,
+// and n == 0 opens dir as one durable DB (opts.Durable) — under the kind
+// its snapshot was written with when that is not kind.
+func OpenDir(dir string, kind mstsearch.IndexKind, n int, place Placement, opts Options) (Store, error) {
+	mkind, mn, mplace, reps, err := ReadManifest(dir)
+	switch {
+	case err == nil:
+		if place, err = PlacementByName(mplace); err != nil {
+			return nil, err
+		}
+		opts.Replicas = reps
+		kind, n = mkind, mn
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, err
+	}
+	if n > 0 {
+		c, err := Open(dir, kind, n, place, opts)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	db, err := mstsearch.OpenDurable(dir, kind, opts.Durable)
+	for _, k := range mstsearch.IndexKinds() {
+		if !errors.Is(err, mstsearch.ErrSnapshotKind) {
+			break
+		}
+		if k != kind {
+			db, err = mstsearch.OpenDurable(dir, k, opts.Durable)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
 }

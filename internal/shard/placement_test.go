@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -116,6 +117,59 @@ func TestManifestRoundTripAndMismatch(t *testing.T) {
 		if err := checkManifest(dir, bad.kind, bad.n, bad.placement, bad.replicas); !errors.Is(err, ErrManifestMismatch) {
 			t.Fatalf("checkManifest(%v, %d, %q, %d) = %v, want ErrManifestMismatch", bad.kind, bad.n, bad.placement, bad.replicas, err)
 		}
+	}
+}
+
+// OpenDir is the one directory opener: a manifest makes the directory a
+// cluster whatever the arguments say, n > 0 creates a cluster, and a plain
+// store reopens under the kind its snapshot was written with.
+func TestOpenDirResolvesStoreOrCluster(t *testing.T) {
+	tr := mstsearch.Trajectory{ID: 1, Samples: []mstsearch.Sample{{X: 0.1, Y: 0.1, T: 0}, {X: 0.2, Y: 0.2, T: 1}}}
+
+	dir := t.TempDir()
+	s, err := OpenDir(dir, mstsearch.TBTree, 0, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.(*mstsearch.DB); !ok {
+		t.Fatalf("fresh directory opened as %T, want *mstsearch.DB", s)
+	}
+	if err := s.Add(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckpointContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenDir(dir, mstsearch.RTree3D, 0, nil, Options{}); err != nil {
+		t.Fatalf("reopen under another kind: %v", err)
+	}
+	if s.Kind() != mstsearch.TBTree || s.Len() != 1 {
+		t.Fatalf("reopened store: kind %v, %d trajectories; want TB-tree, 1", s.Kind(), s.Len())
+	}
+	s.Close()
+
+	cdir := t.TempDir()
+	if s, err = OpenDir(cdir, mstsearch.RTree3D, 3, SpatialPlacement{}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(tr); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err = OpenDir(cdir, mstsearch.TBTree, 0, HashPlacement{}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, ok := s.(*Cluster)
+	if !ok {
+		t.Fatalf("cluster directory opened as %T, want *Cluster", s)
+	}
+	if c.Kind() != mstsearch.RTree3D || c.NumShards() != 3 || c.Placement().Name() != "spatial" || c.Len() != 1 {
+		t.Fatalf("reopened cluster: kind %v, %d shards, %s placement, %d trajectories; want the manifest's",
+			c.Kind(), c.NumShards(), c.Placement().Name(), c.Len())
 	}
 }
 
