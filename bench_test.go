@@ -8,10 +8,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"mstsearch/internal/experiments"
+	"mstsearch/internal/gstd"
 	"mstsearch/internal/index"
 	"mstsearch/internal/mst"
 	"mstsearch/internal/rtree"
@@ -432,5 +435,125 @@ func BenchmarkKMostSimilarBatch(b *testing.B) {
 				b.ReportMetric(float64(b.N)*nq/elapsed, "queries/s")
 			}
 		})
+	}
+}
+
+// ntreeWriteFleet is the write-path benchmarks' fleet: 150 GSTD objects of
+// 64 samples over [0, 1], a two-level N-tree on 4 KiB pages.
+func ntreeWriteFleet() []Trajectory {
+	return gstd.Generate(gstd.Config{NumObjects: 150, SamplesPerObject: 64, Seed: 1}).Trajs
+}
+
+// nextTail returns a random-walk sample a little after tr's end.
+func nextTail(rng *rand.Rand, tr *Trajectory) Sample {
+	last := tr.Samples[len(tr.Samples)-1]
+	return Sample{
+		X: last.X + rng.NormFloat64()*0.01,
+		Y: last.Y + rng.NormFloat64()*0.01,
+		T: last.T + 0.001 + rng.Float64()*0.01,
+	}
+}
+
+// BenchmarkNTreeAppendSample measures one AppendSample on an in-memory
+// N-tree DB: the in-place repair of the grown trajectory's root→leaf
+// path, with the store and cache invalidation around it. Each op appends
+// to a random trajectory, so a few land on pivots and pay for their
+// subtree.
+func BenchmarkNTreeAppendSample(b *testing.B) {
+	trajs := ntreeWriteFleet()
+	db, err := NewDB(NTree, trajs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh fleet every 500 appends keeps the per-op cost from
+		// drifting with b.N as the trajectories grow.
+		if i > 0 && i%500 == 0 {
+			b.StopTimer()
+			if db, err = NewDB(NTree, trajs); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		id := trajs[rng.Intn(len(trajs))].ID
+		if err := db.AppendSample(id, nextTail(rng, db.Get(id))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNTreeReopenReplay measures reopening a durable N-tree whose
+// log holds N append records after its last checkpoint: snapshot load
+// plus one in-place repair per replayed record.
+func BenchmarkNTreeReopenReplay(b *testing.B) {
+	for _, n := range []int{20, 200} {
+		b.Run(fmt.Sprintf("appends=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			opts := DurableOptions{Sync: SyncOff, CheckpointBytes: -1}
+			db, err := OpenDurable(dir, NTree, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trajs := ntreeWriteFleet()
+			for i := range trajs {
+				if err := db.Add(trajs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(4))
+			for i := 0; i < n; i++ {
+				id := trajs[rng.Intn(len(trajs))].ID
+				if err := db.AppendSample(id, nextTail(rng, db.Get(id))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+			// Every open starts a new log segment, so each op reopens a
+			// fresh copy of the store rather than the one the last op
+			// grew.
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cp := filepath.Join(b.TempDir(), "store")
+				copyFlatDir(b, dir, cp)
+				b.StartTimer()
+				re, err := OpenDurable(cp, NTree, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := re.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// copyFlatDir copies the regular files of src into a new directory dst.
+func copyFlatDir(b *testing.B, src, dst string) {
+	b.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -282,7 +282,7 @@ func OpenDurable(dir string, kind IndexKind, o DurableOptions) (*DB, error) {
 	defer db.mu.Unlock()
 	// Snapshot-loaded TB/STR-trees are read-only; durable DBs must
 	// accept mutations, so rebuild them writable before replaying.
-	if epoch > 0 && kind != RTree3D {
+	if epoch > 0 && (kind == TBTree || kind == STRTree) {
 		if err := db.recoverLocked(); err != nil {
 			log.Close()
 			return nil, err

@@ -218,9 +218,10 @@ func TestCrashSweepEveryOffset(t *testing.T) {
 }
 
 // TestCrashSweepVariants samples the offset space under the weaker sync
-// policies, with auto-checkpoints firing mid-workload, and on the
+// policies, with auto-checkpoints firing mid-workload, on the
 // bundled-tree index kinds (whose recovery path rebuilds the tree from
-// the store before replay).
+// the store before replay), and on the N-tree (whose replay repairs the
+// tree in place for every append record).
 func TestCrashSweepVariants(t *testing.T) {
 	stride := int64(7)
 	if testing.Short() {
@@ -240,6 +241,9 @@ func TestCrashSweepVariants(t *testing.T) {
 	})
 	t.Run("strtree-drop", func(t *testing.T) {
 		crashSweep(t, STRTree, SyncAlways, true, -1, stride+6, 6, 5, 15)
+	})
+	t.Run("ntree-drop", func(t *testing.T) {
+		crashSweep(t, NTree, SyncAlways, true, -1, stride+2, 6, 5, 15)
 	})
 }
 

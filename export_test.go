@@ -1,8 +1,11 @@
 package mstsearch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"mstsearch/internal/storage"
 )
 
 // Test-only bridge for the sharded differential suites, which live in the
@@ -50,4 +53,43 @@ func FleetForTest(rng *rand.Rand, n, samples int) []Trajectory {
 func CheckBitIdentical(t *testing.T, label string, iter int, a, b []Result) {
 	t.Helper()
 	checkBitIdentical(t, label, iter, a, b)
+}
+
+// CheckNTreeInvariants runs the N-tree's full structural and metric
+// invariant walk over db's index.
+func CheckNTreeInvariants(db *DB) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	e, ok := db.eng.(*ntreeEngine)
+	if !ok {
+		return fmt.Errorf("%s index is not an N-tree", db.kind)
+	}
+	return e.t.CheckInvariants()
+}
+
+// NTreePivots lists the pivot of every node of db's N-tree index, root
+// first, so a test can aim appends at leaf and routing pivots.
+func NTreePivots(db *DB) ([]ID, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	e, ok := db.eng.(*ntreeEngine)
+	if !ok {
+		return nil, fmt.Errorf("%s index is not an N-tree", db.kind)
+	}
+	var out []ID
+	var walk func(page storage.PageID) error
+	walk = func(page storage.PageID) error {
+		n, err := e.t.ReadMetricNode(page)
+		if err != nil {
+			return err
+		}
+		out = append(out, n.PivotID)
+		for _, c := range n.Children {
+			if err := walk(c.Page); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return out, walk(e.t.Root())
 }

@@ -21,10 +21,13 @@
 // node splits recompute the affected radii by enumerating the subtree's
 // members — O(subtree) per split, the price of exactness.
 //
-// Like the TB-tree and STR-tree, a reopened tree is read-only; the DB
-// layer rebuilds the index to mutate a loaded store. Nodes share the page
-// store and CRC discipline of the MBB trees via the metric node codec in
-// internal/index (flag bit1).
+// A trajectory that gains a tail sample is repaired in place by
+// AppendRepair: every stored distance involving it lies on its root→leaf
+// path, so the repair recomputes O(height) distances, plus one subtree's
+// when the trajectory is itself a pivot. The tree keeps all of its state in
+// its pages and Meta, so a reopened tree is as writable as a fresh one.
+// Nodes share the page store and CRC discipline of the MBB trees via the
+// metric node codec in internal/index (flag bit1).
 package ntree
 
 import (
@@ -49,12 +52,10 @@ type Meta struct {
 
 // Lookup resolves a trajectory ID to its stored geometry. The tree holds
 // no geometry of its own — distances are computed against the caller's
-// trajectory store, which must outlive the tree and must not mutate
-// indexed trajectories (the DB layer rebuilds on append for this reason).
+// trajectory store, which must outlive the tree. The only mutation of an
+// indexed trajectory it tolerates is one tail sample at a time, each
+// followed by AppendRepair.
 type Lookup func(trajectory.ID) *trajectory.Trajectory
-
-// ErrReadOnly is returned when inserting into a reopened tree.
-var ErrReadOnly = errors.New("ntree: tree opened read-only")
 
 // Tree is an N-tree bound to a pager and a trajectory store.
 type Tree struct {
@@ -65,7 +66,6 @@ type Tree struct {
 	nodes    int
 	maxLeaf  int
 	maxChild int
-	readOnly bool
 }
 
 // New creates an empty N-tree on the pager.
@@ -79,20 +79,16 @@ func New(pager storage.Pager, lookup Lookup) *Tree {
 	}
 }
 
-// Open reattaches a built tree to a pager for reading.
+// Open reattaches a built tree to a pager. The reopened tree serves reads
+// and accepts InsertTrajectory and AppendRepair like the original.
 func Open(pager storage.Pager, m Meta, lookup Lookup) *Tree {
 	t := New(pager, lookup)
 	t.root, t.height, t.nodes = m.Root, m.Height, m.Nodes
-	t.readOnly = true
 	return t
 }
 
 // Meta returns the tree's reopen information.
 func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Nodes: t.nodes} }
-
-// ReadOnly reports whether the tree was reopened from a snapshot and
-// therefore rejects inserts.
-func (t *Tree) ReadOnly() bool { return t.readOnly }
 
 // Lookup returns the trajectory resolver the tree was bound to, so a
 // caller can reopen a view of the tree against the same store.
@@ -177,9 +173,6 @@ type step struct {
 // inserted exactly once; the tree records the ID, sample count, MBB and
 // pivot distance, never the geometry itself.
 func (t *Tree) InsertTrajectory(tr *trajectory.Trajectory) error {
-	if t.readOnly {
-		return ErrReadOnly
-	}
 	if len(tr.Samples) < 2 {
 		return fmt.Errorf("ntree: trajectory %d has %d samples, need >= 2", tr.ID, len(tr.Samples))
 	}
@@ -477,17 +470,26 @@ func (t *Tree) internalRoutingEntry(n *index.MetricNode, pivot *trajectory.Traje
 			c.MaxSamples = ch.MaxSamples
 		}
 	}
-	err := t.walkMembers(n.Page, func(id trajectory.ID) error {
+	var err error
+	c.Radius, err = t.coverRadius(n.Page, pivot)
+	return c, err
+}
+
+// coverRadius is the exact covering radius of the subtree under page
+// around pivot: the largest base distance from pivot to any member.
+func (t *Tree) coverRadius(page storage.PageID, pivot *trajectory.Trajectory) (float64, error) {
+	r := 0.0
+	err := t.walkMembers(page, func(id trajectory.ID) error {
 		x, err := t.get(id)
 		if err != nil {
 			return err
 		}
-		if d := BaseDist(pivot, x); d > c.Radius {
-			c.Radius = d
+		if d := BaseDist(pivot, x); d > r {
+			r = d
 		}
 		return nil
 	})
-	return c, err
+	return r, err
 }
 
 // walkMembers visits every trajectory ID stored under page.
@@ -541,6 +543,111 @@ func (t *Tree) updatePath(path []step, tr *trajectory.Trajectory) error {
 		}
 	}
 	return nil
+}
+
+// AppendRepair restores the tree's invariants after tr, already indexed,
+// gained one tail sample; tr and the tree's Lookup hold the new sample.
+//
+// Every stored distance involving tr lies on tr's root→leaf path: its
+// leaf entry's DistToPivot (every entry's, when tr pivots the leaf) and
+// the radius of each routing entry above it. An entry pivoted on tr is on
+// that path too, since a node's pivot is a member of its own subtree. The
+// tail moves only the end of tr's span, so a distance to a trajectory that
+// ends at or before tr's old end keeps its stored value.
+//
+// The leaf is found through the entries whose MBB and sample bounds cover
+// tr as it was before the append, so a reopened tree repairs just as well.
+// Bottom-up, an entry pivoted on tr gets its radius recomputed exactly
+// (O(subtree)); any other entry's radius is maxed with the new distance to
+// its pivot; every entry's MBB and MaxSamples widen. tr stays in its leaf,
+// so radii can end up looser than a fresh build's. On error the tree may
+// be partly repaired; the caller rebuilds it from its trajectory store.
+func (t *Tree) AppendRepair(tr *trajectory.Trajectory) error {
+	n := len(tr.Samples)
+	if n < 3 || t.root == storage.NilPage {
+		return fmt.Errorf("ntree: trajectory %d with %d samples has no indexed prefix to repair", tr.ID, n)
+	}
+	old := trajectory.Trajectory{ID: tr.ID, Samples: tr.Samples[:n-1]}
+	oldEnd := old.EndTime()
+	path, leaf, slot, err := t.findLeaf(t.root, nil, old.Bounds(), uint32(n-1), tr.ID)
+	if err != nil {
+		return err
+	}
+	if leaf == nil {
+		return fmt.Errorf("ntree: trajectory %d is not indexed", tr.ID)
+	}
+
+	piv, err := t.get(leaf.PivotID)
+	if err != nil {
+		return err
+	}
+	leaf.Leaves[slot].Samples = uint32(n)
+	leaf.Leaves[slot].MBB = tr.Bounds()
+	for i := range leaf.Leaves {
+		e := &leaf.Leaves[i]
+		if piv.ID != tr.ID && e.TrajID != tr.ID {
+			continue
+		}
+		x, err := t.get(e.TrajID)
+		if err != nil {
+			return err
+		}
+		// The pair's common span, and so its distance, moved only if
+		// the trajectory paired with tr ends after tr's old end.
+		other := x
+		if x.ID == tr.ID {
+			other = piv
+		}
+		if other.EndTime() > oldEnd {
+			e.DistToPivot = BaseDist(piv, x)
+		}
+	}
+	if err := t.writeNode(leaf); err != nil {
+		return err
+	}
+
+	for i := len(path) - 1; i >= 0; i-- {
+		c := &path[i].node.Children[path[i].child]
+		switch {
+		case c.PivotID != tr.ID:
+		case i == len(path)-1:
+			c.Radius = leafRoutingEntry(leaf).Radius
+		default:
+			if c.Radius, err = t.coverRadius(c.Page, tr); err != nil {
+				return err
+			}
+		}
+	}
+	return t.updatePath(path, tr)
+}
+
+// findLeaf finds the leaf entry of trajectory id, whose stored bounds and
+// sample count are mbb and samples, descending only into the routing
+// entries that cover both. It returns the descent path, the leaf and the
+// entry's slot, or a nil leaf when no covering branch holds id.
+func (t *Tree) findLeaf(page storage.PageID, path []step, mbb geom.MBB, samples uint32, id trajectory.ID) ([]step, *index.MetricNode, int, error) {
+	n, err := t.ReadMetricNode(page)
+	if err != nil {
+		return nil, nil, -1, err
+	}
+	if n.Leaf {
+		for i, e := range n.Leaves {
+			if e.TrajID == id {
+				return path, n, i, nil
+			}
+		}
+		return nil, nil, -1, nil
+	}
+	for i, c := range n.Children {
+		if samples < c.MinSamples || samples > c.MaxSamples || !c.MBB.Contains(mbb) {
+			continue
+		}
+		p, leaf, slot, err := t.findLeaf(c.Page, append(path, step{n, i}), mbb, samples, id)
+		if err != nil || leaf != nil {
+			return p, leaf, slot, err
+		}
+	}
+	return nil, nil, -1, nil
 }
 
 // CheckInvariants walks the whole tree and verifies the structural and

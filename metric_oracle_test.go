@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"mstsearch/internal/gstd"
+	"mstsearch/internal/ntree"
+	"mstsearch/internal/storage"
 )
 
 // The metric differential oracle: every exact-metric kNN answer the
@@ -134,6 +137,171 @@ func TestMetricDifferentialOracle(t *testing.T) {
 				checkBitIdentical(t, "metric-batch", i, serialOut[i], br.Results)
 			}
 		})
+	}
+}
+
+// TestMetricAppendOracle interleaves bursts of AppendSample with metric
+// kNN queries on a multi-level N-tree: every answer, serial and
+// Parallelism=4, must match the brute-force oracle over the updated
+// trajectories bit for bit, and the tree's invariants must hold after
+// every append. Bursts aim at leaf and routing-entry pivots, whose
+// repair recomputes a whole subtree's distances. Mid-stream the store is
+// reopened through OpenDurable (snapshot plus replayed appends) and then
+// through Save/Load, and the appends carry on on the reopened tree.
+func TestMetricAppendOracle(t *testing.T) {
+	trajs := gstd.Generate(gstd.Config{NumObjects: 220, SamplesPerObject: 21, Seed: 9}).Trajs
+	cur := make([]Trajectory, len(trajs)) // the oracle's copy, appended in step
+	at := make(map[ID]int, len(trajs))
+	for i := range trajs {
+		cur[i] = trajs[i].Clone()
+		at[trajs[i].ID] = i
+	}
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: SyncOff, CheckpointBytes: -1}
+	db, err := OpenDurable(dir, NTree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	for i := range trajs {
+		if err := db.Add(trajs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if piv, err := NTreePivots(db); err != nil || len(piv) < 3 {
+		t.Fatalf("tree has %d nodes (%v); want several levels", len(piv), err)
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	appendTo := func(id ID) {
+		t.Helper()
+		x := &cur[at[id]]
+		last := x.Samples[len(x.Samples)-1]
+		s := Sample{
+			X: last.X + rng.NormFloat64()*0.02,
+			Y: last.Y + rng.NormFloat64()*0.02,
+			T: last.T + 0.01 + rng.Float64()*0.05,
+		}
+		if err := db.AppendSample(id, s); err != nil {
+			t.Fatalf("append to %d: %v", id, err)
+		}
+		x.Samples = append(x.Samples, s)
+		if err := CheckNTreeInvariants(db); err != nil {
+			t.Fatalf("after append to %d: %v", id, err)
+		}
+	}
+	metrics := []struct {
+		m   Metric
+		eps float64
+	}{{MetricDISSIM, 0}, {MetricDTW, 0}, {MetricLCSS, 0.05}, {MetricEDR, 0.05}}
+	iter := 0
+	queryAll := func(label string) {
+		t.Helper()
+		for _, mc := range metrics {
+			for j := 0; j < 3; j++ {
+				var q *Trajectory
+				var t1, t2 float64
+				if j == 0 {
+					q = oracleQuery(rng, 61)
+					t1, t2 = oracleWindow(rng)
+				} else {
+					// A grown trajectory as the query, over a window
+					// reaching into the appended tails.
+					c := cur[rng.Intn(len(cur))].Clone()
+					c.ID = 0
+					q = &c
+					t2 = q.EndTime()
+					t1 = t2 - 0.1 - rng.Float64()*0.5
+				}
+				k := 1 + rng.Intn(5)
+				want := metricLinearTopK(cur, q, t1, t2, k, mc.m, mc.eps)
+				for _, par := range []int{1, 4} {
+					resp, err := db.Query(context.Background(), Request{
+						Q: q, Interval: Interval{T1: t1, T2: t2}, K: k,
+						Metric: mc.m, MetricEps: mc.eps,
+						Options: Options{ExactRefine: true, Refine: 1, Parallelism: par},
+					})
+					if err != nil {
+						t.Fatalf("%s %s iter %d: %v", label, mc.m, iter, err)
+					}
+					checkMetricOracle(t, label+"/"+mc.m.String(), iter, resp.Results, want)
+				}
+				iter++
+			}
+		}
+	}
+
+	queryAll("fresh")
+	for burst := 0; burst < 9; burst++ {
+		switch burst {
+		case 3:
+			// Reopen: snapshot load plus replay of the appends since
+			// the checkpoint, all onto the reopened tree.
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = OpenDurable(dir, NTree, opts); err != nil {
+				t.Fatal(err)
+			}
+		case 6:
+			path := filepath.Join(t.TempDir(), "ntree.mstdb")
+			if err := db.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Load(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids []ID
+		if burst%3 == 0 {
+			if ids, err = NTreePivots(db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 12; i++ {
+			ids = append(ids, cur[rng.Intn(len(cur))].ID)
+		}
+		for _, id := range ids {
+			appendTo(id)
+		}
+		queryAll("burst")
+	}
+}
+
+// TestNTreeFailedRepairRebuilds: when the in-place repair fails, the
+// append is rolled back and the tree is rebuilt from the store, so the DB
+// is left consistent and the next append repairs normally.
+func TestNTreeFailedRepairRebuilds(t *testing.T) {
+	trajs := gstd.Generate(gstd.Config{NumObjects: 40, SamplesPerObject: 21, Seed: 10}).Trajs
+	db, err := NewDB(NTree, trajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty tree indexes nobody, so the next repair cannot find its leaf.
+	db.eng = &ntreeEngine{t: ntree.New(storage.NewFile(db.file.PageSize()), db.lookupLocked)}
+	id := trajs[3].ID
+	n := len(trajs[3].Samples)
+	end := trajs[3].EndTime()
+	if err := db.AppendSample(id, Sample{X: 0.5, Y: 0.5, T: end + 0.1}); err == nil {
+		t.Fatal("append on a tree that does not index the trajectory succeeded")
+	}
+	if got := len(db.Get(id).Samples); got != n {
+		t.Fatalf("failed append left %d samples, want %d", got, n)
+	}
+	if err := CheckNTreeInvariants(db); err != nil {
+		t.Fatalf("tree not rebuilt after the failed repair: %v", err)
+	}
+	if err := db.AppendSample(id, Sample{X: 0.5, Y: 0.5, T: end + 0.1}); err != nil {
+		t.Fatalf("append after the rebuild: %v", err)
+	}
+	if err := CheckNTreeInvariants(db); err != nil {
+		t.Fatal(err)
 	}
 }
 

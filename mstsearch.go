@@ -427,10 +427,11 @@ func (db *DB) AppendSample(id ID, s Sample) error {
 
 // applyAppendLocked indexes one pre-validated sample onto the trajectory
 // at store index i — the journal-free half of AppendSample, shared with
-// WAL replay. The sample enters the store first so an engine that cannot
-// append incrementally (errRebuildRequired) can rebuild from the updated
-// store; any failure rolls the sample back. Callers must hold db.mu
-// (write side).
+// WAL replay. The sample enters the store first, since the N-tree repair
+// reads the grown trajectory through the store; any failure rolls the
+// sample back. A failed N-tree repair may have rewritten part of its
+// path, so the tree is then rebuilt from the store, the source of truth.
+// Callers must hold db.mu (write side).
 func (db *DB) applyAppendLocked(i int, s Sample) error {
 	tr := &db.trajs[i]
 	last := tr.Samples[len(tr.Samples)-1]
@@ -443,12 +444,13 @@ func (db *DB) applyAppendLocked(i int, s Sample) error {
 		},
 	}
 	tr.Samples = append(tr.Samples, s)
-	err := db.eng.appendSegment(e, tr)
-	if errors.Is(err, errRebuildRequired) {
-		err = db.recoverLocked()
-	}
-	if err != nil {
+	if err := db.eng.appendSegment(e, tr); err != nil {
 		tr.Samples = tr.Samples[:len(tr.Samples)-1]
+		if db.kind == NTree {
+			if rerr := db.recoverLocked(); rerr != nil {
+				err = errors.Join(err, rerr)
+			}
+		}
 		return err
 	}
 	db.vmax = math.Max(db.vmax, e.Seg.Speed())

@@ -304,11 +304,11 @@ func Load(path string) (*DB, error) {
 		return nil, ErrSnapshotCRC
 	}
 
-	// Rebind the tree to the restored pages. A loaded 3D R-tree remains
-	// writable (its insert needs no build-time state); the other kinds
-	// reopen read-only — their build-time state (per-trajectory tail
-	// tables, pivot assignments) is not in the snapshot — so mutations on
-	// those return the structure's ErrReadOnly until a Recover rebuilds.
+	// Rebind the tree to the restored pages. A loaded 3D R-tree or N-tree
+	// remains writable (their pages hold all of their state); the TB-tree
+	// and STR-tree reopen read-only — their build-time state
+	// (per-trajectory tail tables) is not in the snapshot — so mutations
+	// on those return the structure's ErrReadOnly until a Recover rebuilds.
 	db.eng = db.openEngine(db.kind, db.file, treeMeta{
 		Root: storage.PageID(root), Height: int(height), Nodes: int(nodes),
 	})

@@ -114,12 +114,6 @@ type treeMeta struct {
 	Nodes  int
 }
 
-// errRebuildRequired is an engine's way of telling the DB that it cannot
-// apply an incremental append and the index must be rebuilt from the
-// trajectory store instead (the N-tree: a new tail segment changes the
-// trajectory's distances to every pivot, which no local update can fix).
-var errRebuildRequired = errors.New("mstsearch: index append requires rebuild")
-
 // indexEngine adapts one concrete index structure to the DB's mutation
 // and read paths. Engines are not safe for concurrent use on their own;
 // the DB serializes calls through its lock.
@@ -134,9 +128,8 @@ type indexEngine interface {
 	// trajectory is already in the DB's store when this is called.
 	insertTrajectory(tr *Trajectory) error
 	// appendSegment indexes one new tail segment (the AppendSample
-	// path); tr already includes the new sample. Engines that cannot
-	// append incrementally return errRebuildRequired, and read-only
-	// loaded engines return their structure's ErrReadOnly.
+	// path); tr already includes the new sample. Read-only loaded
+	// engines return their structure's ErrReadOnly.
 	appendSegment(e index.LeafEntry, tr *Trajectory) error
 }
 
@@ -163,9 +156,10 @@ func (db *DB) newEngine(kind IndexKind, file storage.Pager) indexEngine {
 func (db *DB) lookupLocked(id ID) *Trajectory { return db.get(id) }
 
 // openEngine rebinds a snapshot's engine over its restored page file. A
-// reopened 3D R-tree stays writable; the other kinds reopen read-only
-// (their build-time state is not in the snapshot), rejecting mutations
-// with their structure's ErrReadOnly until a Recover rebuilds them.
+// reopened 3D R-tree or N-tree stays writable; the TB-tree and STR-tree
+// reopen read-only (their build-time state is not in the snapshot),
+// rejecting mutations with their structure's ErrReadOnly until a Recover
+// rebuilds them.
 func (db *DB) openEngine(kind IndexKind, file storage.Pager, m treeMeta) indexEngine {
 	switch kind {
 	case TBTree:
@@ -245,11 +239,6 @@ func (e *ntreeEngine) view(p storage.Pager) index.Index {
 
 func (e *ntreeEngine) insertTrajectory(tr *Trajectory) error { return e.t.InsertTrajectory(tr) }
 
-func (e *ntreeEngine) appendSegment(_ index.LeafEntry, _ *Trajectory) error {
-	// A loaded tree behaves like the loaded TB/STR trees: appends are
-	// rejected until a Recover rebuilds it writable.
-	if e.t.ReadOnly() {
-		return ntree.ErrReadOnly
-	}
-	return errRebuildRequired
+func (e *ntreeEngine) appendSegment(_ index.LeafEntry, tr *Trajectory) error {
+	return e.t.AppendRepair(tr)
 }
